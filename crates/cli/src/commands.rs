@@ -91,14 +91,12 @@ fn cluster(args: &Args) -> Result<(), String> {
         "cosine" => Metric::Cosine,
         other => return Err(format!("unknown --metric {other:?} (euclidean|cosine)")),
     };
-    // Eigensolver policy for the warm-start sweeps. `jacobi` is dense-only
-    // and the solver rejects it on the matrix-free paths.
+    // Eigensolver policy for the warm-start sweeps.
     let eig = match args.get("eig").unwrap_or("auto") {
         "auto" => EigSolver::Auto,
         "lanczos" => EigSolver::Lanczos,
         "blanczos" => EigSolver::Blanczos,
-        "jacobi" => EigSolver::Jacobi,
-        other => return Err(format!("unknown --eig {other:?} (auto|lanczos|blanczos|jacobi)")),
+        other => return Err(format!("unknown --eig {other:?} (auto|lanczos|blanczos)")),
     };
 
     let t0 = std::time::Instant::now();
@@ -432,6 +430,15 @@ fn read_labels(path: &str) -> Result<Vec<usize>, String> {
 mod tests {
     use super::*;
 
+    /// Serialises the tests that attach the process-global trace sink:
+    /// one test's reset of the trace path and enabled flag must not land
+    /// in the middle of another's traced run.
+    static TRACE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn trace_lock() -> std::sync::MutexGuard<'static, ()> {
+        TRACE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn tmp(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("umsc_cli_{tag}_{}", std::process::id()))
     }
@@ -528,11 +535,7 @@ mod tests {
         )
         .generate(4);
         umsc_data::io::save_csv(&data, &dir).unwrap();
-        // `jacobi` rides the dense representation; the others run the
-        // default auto path.
-        for (eig, repr) in
-            [("auto", "auto"), ("lanczos", "auto"), ("blanczos", "auto"), ("jacobi", "dense")]
-        {
+        for (eig, repr) in [("auto", "auto"), ("lanczos", "dense"), ("blanczos", "sparse")] {
             dispatch(&argv(&[
                 "cluster",
                 "--data",
@@ -546,16 +549,12 @@ mod tests {
             ]))
             .unwrap();
         }
-        let err = dispatch(&argv(&[
-            "cluster",
-            "--data",
-            dir.to_str().unwrap(),
-            "--eig",
-            "powermethod",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--eig"), "got {err:?}");
-        assert!(err.contains("auto|lanczos|blanczos|jacobi"), "got {err:?}");
+        for bad in ["powermethod", "jacobi"] {
+            let err = dispatch(&argv(&["cluster", "--data", dir.to_str().unwrap(), "--eig", bad]))
+                .unwrap_err();
+            assert!(err.contains("--eig"), "got {err:?}");
+            assert!(err.contains("auto|lanczos|blanczos)"), "got {err:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -564,6 +563,7 @@ mod tests {
     /// the trace sink is attached or not.
     #[test]
     fn blanczos_labels_identical_with_and_without_tracing() {
+        let _trace = trace_lock();
         let dir = tmp("eigtrace");
         let _ = std::fs::remove_dir_all(&dir);
         let data = umsc_data::synth::MultiViewGmm::new(
@@ -644,6 +644,7 @@ mod tests {
 
     #[test]
     fn trace_and_verbose_flow_produces_parseable_trace() {
+        let _trace = trace_lock();
         let dir = tmp("trace");
         let _ = std::fs::remove_dir_all(&dir);
         let data = umsc_data::synth::MultiViewGmm::new(

@@ -4,30 +4,28 @@
 //! module implements the scalable variant the one-stage literature reaches
 //! for on large `n`: every view's graph is the anchor (bipartite) graph of
 //! [`umsc_graph::anchor`], whose normalized Laplacian is `I − B_v·B_vᵀ`
-//! with a thin factor `B_v ∈ R^{n×m}` (`m ≪ n` anchors). Every solver step
-//! then works matrix-free:
+//! with a thin factor `B_v ∈ R^{n×m}` (`m ≪ n` anchors). The fit runs the
+//! shared sweep engine on [`crate::AnchorFused`], which keeps every
+//! `B_v B_vᵀ` implicit:
 //!
 //! * `tr(Fᵀ L_v F) = c − ‖B_vᵀF‖²_F` — O(n·m·c);
-//! * warm-start embedding — Lanczos on the shifted fused operator,
-//!   O(n·m) per application;
-//! * GPI F-step — `M = s·F + Σ_v w_v B_v(B_vᵀF) + λ·Y·Rᵀ` (the shift
-//!   `η = 2s ≥ λ_max(Σ w_v L_v)` since each normalized Laplacian is
-//!   bounded by `2I`), then a thin polar decomposition;
+//! * eigensolves and GPI applies — O(n·m) per column;
 //! * R/Y steps — identical to the dense path (they only touch `n × c`).
 //!
 //! Total per-iteration cost O(n·m·c): linear in the number of points.
 
-use crate::config::{EigSolver, Weighting};
+use crate::config::{Discretization, EigSolver, UmscConfig, Weighting};
 use crate::error::UmscError;
-use crate::indicator::{discretize_rows, labels_to_indicator};
-use crate::solver::{copy_embedding, init_rotation, IterationStats, UmscResult};
+use crate::fused::anchor_fused_operator;
+use crate::solver::{validate, Umsc, UmscResult};
 use crate::Result;
 use umsc_data::MultiViewDataset;
-use umsc_linalg::{
-    blanczos_smallest_ws, lanczos_smallest, polar_orthogonalize, procrustes, BlanczosConfig,
-    BlanczosWorkspace, LanczosConfig, Matrix,
-};
-use umsc_op::{DiagShift, LinOp, LowRankAnchor, WeightedSum};
+use umsc_linalg::Matrix;
+
+/// GPI iterations per F-step on the anchor path. Every F-step runs to
+/// its cap, so the F-step cost is linear in it; 20 keeps the anchor fit
+/// linear-time at the accuracy of a longer inner solve.
+pub const ANCHOR_GPI_MAX_ITER: usize = 20;
 
 /// Configuration of the anchor-based solver.
 #[derive(Debug, Clone)]
@@ -48,8 +46,7 @@ pub struct AnchorUmscConfig {
     pub tol: f64,
     /// Seed for anchor selection and Lanczos.
     pub seed: u64,
-    /// Eigensolver policy for the warm-start embedding sweeps (Jacobi is
-    /// dense-only and rejected by this matrix-free path).
+    /// Eigensolver policy for the warm-start embedding sweeps.
     pub eig: EigSolver,
 }
 
@@ -128,58 +125,30 @@ impl AnchorUmsc {
     pub fn fit_model(&self, data: &MultiViewDataset) -> Result<AnchorModel> {
         data.validate().map_err(UmscError::InvalidInput)?;
         let cfg = &self.config;
-        let n = data.n();
-        let c = cfg.num_clusters;
-        if c == 0 || c > n {
-            return Err(UmscError::InvalidInput(format!("bad num_clusters {c} for n = {n}")));
-        }
         let mut factors = Vec::with_capacity(data.num_views());
         let mut anchors = Vec::with_capacity(data.num_views());
         let mut col_inv_sqrt = Vec::with_capacity(data.num_views());
         for (v, x) in data.views.iter().enumerate() {
-            let m = cfg.anchors.min(n).max(1);
-            let k = cfg.anchor_neighbors.min(m).max(1);
-            let anc = umsc_graph::select_anchors(x, m, cfg.seed ^ ((v as u64) << 32));
-            let z = umsc_graph::anchor_weights(x, &anc, k);
-            // Column scales Λ^{-1/2}, kept for out-of-sample rows.
-            let mut col_sums = vec![0.0f64; m];
-            for i in 0..n {
-                for (j, &val) in z.row(i).iter().enumerate() {
-                    col_sums[j] += val;
-                }
-            }
-            let inv: Vec<f64> =
-                col_sums.iter().map(|&s| if s > 0.0 { 1.0 / s.sqrt() } else { 0.0 }).collect();
-            let mut b = z;
-            for i in 0..n {
-                for (j, val) in b.row_mut(i).iter_mut().enumerate() {
-                    *val *= inv[j];
-                }
-            }
+            let seed = cfg.seed ^ ((v as u64) << 32);
+            let (b, anc, inv) = umsc_graph::anchor_view_factor(x, cfg.anchors, cfg.anchor_neighbors, seed);
             factors.push(b);
             anchors.push(anc);
             col_inv_sqrt.push(inv);
         }
         let result = self.fit_factors(&factors)?;
 
-        // Nyström data: per-view projections B_vᵀF and Ritz values of the
-        // fused operator on the embedding columns.
-        let weights_raw: Vec<f64> = result.view_weights.clone();
+        // Nyström data: per-view projections B_vᵀF, and the Ritz values
+        // ρ_j = Σ_v w_v ‖B_vᵀ f_j‖² of the fused affinity on the embedding.
+        let weights = result.view_weights.clone();
         let projections: Vec<Matrix> =
             factors.iter().map(|b| b.matmul_transpose_a(&result.embedding)).collect();
-        let f = &result.embedding;
         let mut ritz = vec![0.0f64; result.embedding.cols()];
-        for (j, r) in ritz.iter_mut().enumerate() {
-            let col = f.col(j);
-            let mut opx = vec![0.0f64; n];
-            for (b, &w) in factors.iter().zip(weights_raw.iter()) {
-                let btx = b.matvec_transpose(&col);
-                let bbtx = b.matvec(&btx);
-                for (o, &v) in opx.iter_mut().zip(bbtx.iter()) {
-                    *o += w * v;
+        for (p, &w) in projections.iter().zip(weights.iter()) {
+            for i in 0..p.rows() {
+                for (r, &x) in ritz.iter_mut().zip(p.row(i)) {
+                    *r += w * x * x;
                 }
             }
-            *r = umsc_linalg::ops::dot(&col, &opx);
         }
         let rotation = result.rotation.clone();
         Ok(AnchorModel {
@@ -188,7 +157,7 @@ impl AnchorUmsc {
                 anchors,
                 col_inv_sqrt,
                 anchor_neighbors: cfg.anchor_neighbors,
-                weights: weights_raw,
+                weights,
                 projections,
                 ritz,
                 rotation,
@@ -200,227 +169,19 @@ impl AnchorUmsc {
     /// (each `n × m_v`; the affinity is `B_v·B_vᵀ`).
     pub fn fit_factors(&self, factors: &[Matrix]) -> Result<UmscResult> {
         let cfg = &self.config;
-        if factors.is_empty() {
-            return Err(UmscError::InvalidInput("no anchor factors given".into()));
-        }
-        let n = factors[0].rows();
-        for (v, b) in factors.iter().enumerate() {
-            if b.rows() != n {
-                return Err(UmscError::InvalidInput(format!("factor {v} has {} rows, expected {n}", b.rows())));
-            }
-        }
-        let c = cfg.num_clusters;
-        if c > n {
-            return Err(UmscError::InvalidInput(format!("num_clusters {c} exceeds n = {n}")));
-        }
-        if let Weighting::Fixed(w) = &cfg.weighting {
-            if w.len() != factors.len() {
-                return Err(UmscError::InvalidInput("fixed weight count mismatch".into()));
-            }
-        }
-        if c == 1 {
-            return Ok(UmscResult {
-                labels: vec![0; n],
-                embedding: Matrix::filled(n, 1, 1.0 / (n as f64).sqrt()),
-                rotation: Matrix::identity(1),
-                indicator: Matrix::filled(n, 1, 1.0),
-                view_weights: vec![1.0 / factors.len() as f64; factors.len()],
-                history: Vec::new(),
-                converged: true,
-            });
-        }
-        if cfg.eig == EigSolver::Jacobi {
-            return Err(UmscError::InvalidInput(
-                "EigSolver::Jacobi needs a dense matrix; the anchor path supports auto/lanczos/blanczos".into(),
-            ));
-        }
-        let lambda_eff = cfg.lambda * c as f64 / (10.0 * n as f64);
-        let obs = umsc_obs::enabled();
-        let fit_start = obs.then(std::time::Instant::now);
-
-        // Warm start on ONE persistent fused operator
-        // `(s+ε)·I − Σ w_v B_v B_vᵀ`: each re-weighting sweep swaps the
-        // shift and the weights in place, and under the default `Auto`
-        // policy re-converges warm-started block Lanczos from the carried
-        // Ritz subspace (see [`EigSolver`]).
-        let warm_span = umsc_obs::span!("solve.warm_start");
-        let nviews = factors.len();
-        let mut weights = self.normalize(&vec![1.0; nviews]);
-        let ops: Vec<LowRankAnchor<'_>> = factors
-            .iter()
-            .map(|b| LowRankAnchor::new(b.rows(), b.cols(), b.as_slice()))
-            .collect();
-        let mut op = DiagShift::new(
-            weights.iter().sum::<f64>() + 1e-9,
-            WeightedSum::with_weights(ops, &weights),
-        );
-        let mut eig = BlanczosWorkspace::new();
-        let mut f = Matrix::zeros(n, c);
-        anchor_embedding_solve(&op, c, cfg.eig, cfg.seed, &mut eig, &mut f)?;
-        if matches!(cfg.weighting, Weighting::Auto) {
-            let mut prev = f64::INFINITY;
-            for _ in 0..cfg.max_iter.max(1) {
-                weights = self.reweight(factors, &f);
-                op.set_sigma(weights.iter().sum::<f64>() + 1e-9);
-                op.inner_mut().set_weights(&weights);
-                anchor_embedding_solve(&op, c, cfg.eig, cfg.seed, &mut eig, &mut f)?;
-                let obj = self.embedding_objective(factors, &f);
-                if (prev - obj).abs() <= cfg.tol * (1.0 + prev.abs()) {
-                    break;
-                }
-                prev = obj;
-            }
-        } else {
-            weights = self.fixed_weights(nviews);
-            op.set_sigma(weights.iter().sum::<f64>() + 1e-9);
-            op.inner_mut().set_weights(&weights);
-            anchor_embedding_solve(&op, c, cfg.eig, cfg.seed, &mut eig, &mut f)?;
-        }
-
-        drop(warm_span);
-
-        let mut r = init_rotation(&f)?;
-        let mut labels = discretize_rows(&f.matmul(&r));
-        let mut y = labels_to_indicator(&labels, c);
-        let mut history: Vec<IterationStats> = Vec::with_capacity(cfg.max_iter);
-        let mut converged = false;
-
-        for _iter in 0..cfg.max_iter {
-            let sweep_start = obs.then(std::time::Instant::now);
-            {
-                let _span = umsc_obs::span!("solve.w_step");
-                if matches!(cfg.weighting, Weighting::Auto) {
-                    weights = self.reweight(factors, &f);
-                }
-            }
-            let s: f64 = weights.iter().sum();
-
-            // Matrix-free GPI: M = s·F + Σ w_v B_v(B_vᵀF) + λ·Y·Rᵀ.
-            {
-                let _span = umsc_obs::span!("solve.f_step");
-                let mut b_term = y.matmul_transpose_b(&r);
-                b_term.scale_mut(lambda_eff);
-                for _inner in 0..20 {
-                    umsc_obs::counter!("gpi.iters", 1);
-                    let mut m_mat = f.scale(s);
-                    for (b, &w) in factors.iter().zip(weights.iter()) {
-                        let btf = b.matmul_transpose_a(&f);
-                        let bbtf = b.matmul(&btf);
-                        m_mat.axpy(w, &bbtf);
-                    }
-                    m_mat.axpy(1.0, &b_term);
-                    let f_new = polar_orthogonalize(&m_mat)?;
-                    let delta = (&f_new - &f).frobenius_norm();
-                    f = f_new;
-                    if delta < 1e-9 * (c as f64).sqrt() {
-                        break;
-                    }
-                }
-            }
-
-            // R-step on the row-normalized embedding; Y-step by argmax.
-            {
-                let _span = umsc_obs::span!("solve.r_step");
-                let mut f_tilde = f.clone();
-                for i in 0..n {
-                    umsc_linalg::ops::normalize(f_tilde.row_mut(i));
-                }
-                r = procrustes(&f_tilde.matmul_transpose_a(&y))?;
-                umsc_obs::counter!("procrustes.updates", 1);
-            }
-            {
-                let _span = umsc_obs::span!("solve.y_step");
-                labels = discretize_rows(&f.matmul(&r));
-                y = labels_to_indicator(&labels, c);
-                umsc_obs::counter!("indicator.updates", 1);
-            }
-
-            // Bookkeeping.
-            let emb = self.embedding_objective(factors, &f);
-            let diff = &f.matmul(&r) - &y;
-            let rot = lambda_eff * diff.frobenius_norm().powi(2);
-            let objective = emb + rot;
-            let prev = history.last().map(|st: &IterationStats| st.objective);
-            history.push(IterationStats {
-                objective,
-                embedding_term: emb,
-                rotation_term: rot,
-                weights: self.normalize(&weights),
-            });
-            if obs {
-                let entry = history.last().expect("just pushed");
-                crate::telemetry::sweep(
-                    "anchor",
-                    history.len() - 1,
-                    &crate::solver::StepStats {
-                        objective,
-                        embedding_term: emb,
-                        rotation_term: rot,
-                    },
-                    prev,
-                    &entry.weights,
-                    crate::telemetry::elapsed_ns(sweep_start),
-                );
-            }
-            if let Some(p) = prev {
-                if (p - objective).abs() <= cfg.tol * (1.0 + p.abs()) {
-                    converged = true;
-                    break;
-                }
-            }
-        }
-        crate::telemetry::fit_done(
-            "anchor",
-            history.len(),
-            converged,
-            crate::telemetry::elapsed_ns(fit_start),
-        );
-
-        Ok(UmscResult {
-            labels,
-            embedding: f,
-            rotation: r,
-            indicator: y,
-            view_weights: self.normalize(&weights),
-            history,
-            converged,
-        })
-    }
-
-    /// `tr(Fᵀ L_v F) = c − ‖B_vᵀF‖²` per view, then the scheme's objective.
-    fn embedding_objective(&self, factors: &[Matrix], f: &Matrix) -> f64 {
-        let traces = view_traces(factors, f);
-        match &self.config.weighting {
-            Weighting::Auto => traces.iter().map(|t| t.max(0.0).sqrt()).sum(),
-            Weighting::Uniform => traces.iter().sum::<f64>() / traces.len() as f64,
-            Weighting::Fixed(w) => {
-                let s: f64 = w.iter().sum();
-                w.iter().zip(traces.iter()).map(|(&wi, &t)| wi / s * t).sum()
-            }
-        }
-    }
-
-    fn reweight(&self, factors: &[Matrix], f: &Matrix) -> Vec<f64> {
-        view_traces(factors, f).iter().map(|t| 1.0 / (2.0 * t.max(1e-10).sqrt())).collect()
-    }
-
-    fn fixed_weights(&self, nviews: usize) -> Vec<f64> {
-        match &self.config.weighting {
-            Weighting::Fixed(w) => {
-                let s: f64 = w.iter().sum();
-                w.iter().map(|&x| x / s).collect()
-            }
-            _ => vec![1.0 / nviews as f64; nviews],
-        }
-    }
-
-    fn normalize(&self, w: &[f64]) -> Vec<f64> {
-        let s: f64 = w.iter().sum();
-        if s > 0.0 {
-            w.iter().map(|&x| x / s).collect()
-        } else {
-            vec![1.0 / w.len().max(1) as f64; w.len()]
-        }
+        let engine = Umsc::new(UmscConfig {
+            lambda: cfg.lambda,
+            discretization: Discretization::Rotation,
+            weighting: cfg.weighting.clone(),
+            max_iter: cfg.max_iter,
+            tol: cfg.tol,
+            gpi_max_iter: ANCHOR_GPI_MAX_ITER,
+            seed: cfg.seed,
+            eig: cfg.eig,
+            ..UmscConfig::new(cfg.num_clusters)
+        });
+        validate(factors.iter().map(Matrix::shape), false, engine.config())?;
+        engine.fit_operator(&mut anchor_fused_operator(factors))
     }
 }
 
@@ -641,61 +402,6 @@ fn read_matrix(r: &mut impl std::io::Read) -> std::io::Result<Matrix> {
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
-fn view_traces(factors: &[Matrix], f: &Matrix) -> Vec<f64> {
-    let c = f.cols() as f64;
-    factors
-        .iter()
-        .map(|b| {
-            let btf = b.matmul_transpose_a(f);
-            (c - btf.frobenius_norm().powi(2)).max(0.0)
-        })
-        .collect()
-}
-
-/// Smallest eigenvectors of the shifted fused operator
-/// `(s + ε)·I − Σ w_v B_v B_vᵀ`: the largest of the fused anchor affinity,
-/// i.e. the smallest of the fused normalized Laplacian. Composed from
-/// [`umsc_op`] nodes — each `B_v B_vᵀ` stays an implicit rank-`m` factor,
-/// so one application costs O(n·m) instead of O(n²). `Jacobi` is rejected
-/// before the warm loop, so it never reaches here; warm block solves run
-/// under an `eig.warm` span for the trace.
-fn anchor_embedding_solve(
-    op: &DiagShift<WeightedSum<LowRankAnchor<'_>>>,
-    c: usize,
-    kind: EigSolver,
-    seed: u64,
-    eig: &mut BlanczosWorkspace,
-    f: &mut Matrix,
-) -> Result<()> {
-    let scalar_lanczos = |f: &mut Matrix| -> Result<()> {
-        let cfg =
-            LanczosConfig { seed, initial_subspace: (2 * c + 20).min(op.dim()), ..Default::default() };
-        let (_, vecs) = lanczos_smallest(op, c, &cfg)?;
-        copy_embedding(f, &vecs);
-        Ok(())
-    };
-    match kind {
-        EigSolver::Auto => {
-            if eig.is_warm() {
-                let _g = umsc_obs::span!("eig.warm");
-                blanczos_smallest_ws(op, c, &BlanczosConfig { seed, ..Default::default() }, eig)?;
-                copy_embedding(f, eig.subspace());
-            } else {
-                scalar_lanczos(f)?;
-                eig.seed_from(f);
-            }
-        }
-        EigSolver::Blanczos => {
-            let _g = eig.is_warm().then(|| umsc_obs::span!("eig.warm"));
-            blanczos_smallest_ws(op, c, &BlanczosConfig { seed, ..Default::default() }, eig)?;
-            copy_embedding(f, eig.subspace());
-        }
-        EigSolver::Lanczos => scalar_lanczos(f)?,
-        EigSolver::Jacobi => unreachable!("Jacobi is rejected before the anchor warm loop"),
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -739,7 +445,7 @@ mod tests {
     }
 
     #[test]
-    fn eig_policies_agree_and_jacobi_rejected() {
+    fn eig_policies_agree() {
         let data = gmm(50, 21);
         let base = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(30)).fit(&data).unwrap();
         for eig in [EigSolver::Lanczos, EigSolver::Blanczos] {
@@ -751,9 +457,6 @@ mod tests {
                 "{eig:?} partition diverges"
             );
         }
-        let jac = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(30).with_eig(EigSolver::Jacobi))
-            .fit(&data);
-        assert!(matches!(jac, Err(UmscError::InvalidInput(_))), "Jacobi must be rejected");
     }
 
     #[test]
@@ -869,5 +572,45 @@ mod tests {
         assert!(res.labels.iter().all(|&l| l == 0));
         assert!(AnchorUmsc::new(AnchorUmscConfig::new(100)).fit(&data).is_err());
         assert!(AnchorUmsc::new(AnchorUmscConfig::new(2)).fit_factors(&[]).is_err());
+    }
+
+    #[test]
+    fn zero_clusters_rejected_not_panicking() {
+        let data = gmm(10, 6);
+        let (b, _, _) = umsc_graph::anchor_view_factor(&data.views[0], 8, 3, 0);
+        let res = AnchorUmsc::new(AnchorUmscConfig::new(0)).fit_factors(&[b]);
+        assert!(matches!(res, Err(UmscError::InvalidInput(_))), "{res:?}");
+    }
+
+    #[test]
+    fn bad_fixed_weights_rejected() {
+        let data = gmm(10, 6);
+        for w in [vec![1.0, -1.0], vec![0.0, 0.0], vec![1.0]] {
+            let cfg = AnchorUmscConfig { weighting: Weighting::Fixed(w.clone()), ..AnchorUmscConfig::new(3) };
+            let res = AnchorUmsc::new(cfg).fit(&data);
+            assert!(matches!(res, Err(UmscError::InvalidInput(_))), "{w:?}: {res:?}");
+        }
+    }
+
+    #[test]
+    fn single_cluster_reports_fixed_weights_and_solves() {
+        let data = gmm(10, 6);
+        let cfg = AnchorUmscConfig {
+            weighting: Weighting::Fixed(vec![3.0, 1.0]),
+            ..AnchorUmscConfig::new(1).with_anchors(12)
+        };
+        let res = AnchorUmsc::new(cfg).fit(&data).unwrap();
+        assert_eq!(res.view_weights, vec![0.75, 0.25]);
+        // The embedding is the bottom eigenvector of the mean operator.
+        let factors: Vec<Matrix> = (0..2)
+            .map(|v| umsc_graph::anchor_view_factor(&data.views[v], 12, 5, (v as u64) << 32).0)
+            .collect();
+        let op = crate::anchor_fused_operator(&factors);
+        let f = &res.embedding;
+        let mut af = Matrix::zeros(f.rows(), 1);
+        umsc_linalg::LinOp::apply_block_into(&op, f.as_slice(), 1, af.as_mut_slice());
+        let rho = f.matmul_transpose_a(&af).trace();
+        let resid = (&af - &f.scale(rho)).frobenius_norm();
+        assert!(resid < 1e-6, "residual {resid}, Rayleigh quotient {rho}");
     }
 }

@@ -82,10 +82,6 @@ pub enum EigSolver {
     Lanczos,
     /// Block Lanczos on every sweep: cold on the first, warm after.
     Blanczos,
-    /// Full dense cyclic Jacobi on every sweep. Dense representation
-    /// only — the matrix-free (sparse/anchor) paths reject it. Slow; an
-    /// independent cross-check, not a production setting.
-    Jacobi,
 }
 
 /// Full configuration of the unified model.

@@ -43,7 +43,8 @@ fn gpi_objective_ws(a: &dyn LinOp, b: &Matrix, f: &Matrix, af: &mut Matrix, cc: 
 }
 
 /// Reusable buffers for [`gpi_stiefel_ws`]: the shifted iterate `M`, the
-/// product `A·F`, a `k × k` trace scratch, and the SVD scratch backing the
+/// product `A·F` (carried from each objective to the next iterate), a
+/// `k × k` trace scratch, and the SVD scratch backing the
 /// polar projection. Grow-only — reusing one workspace across outer solver
 /// iterations makes the whole GPI inner loop allocation-free.
 #[derive(Debug, Clone)]
@@ -148,13 +149,15 @@ pub fn gpi_stiefel_op_ws(
     let GpiWorkspace { m, af, cc, svd } = ws;
 
     let _span = umsc_obs::span!("gpi.solve");
+    // `af` holds A·F for the current F throughout: the objective computes
+    // it, and the next iterate reuses it — one operator apply per
+    // iteration.
     let mut prev = gpi_objective_ws(a, b, f, af, cc);
     for _ in 0..max_iter.max(1) {
         umsc_obs::counter!("gpi.iters", 1);
         // M = (ηI − A)F + B = η·F − A·F + B.
         m.copy_from(f);
         m.scale_mut(eta);
-        a.apply_block_into(f.as_slice(), k, af.as_mut_slice());
         m.axpy(-1.0, af);
         m.axpy(1.0, b);
         polar_orthogonalize_into(m, svd, f)?;

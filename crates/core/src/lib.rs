@@ -43,17 +43,20 @@
 pub mod anchor;
 pub mod config;
 pub mod error;
+pub mod fused;
 pub mod gpi;
 pub mod indicator;
 pub mod pipeline;
 pub mod solver;
-pub mod sparse_solver;
 pub(crate) mod telemetry;
 pub mod workspace;
 
 pub use anchor::{AnchorAssigner, AnchorModel, AnchorUmsc, AnchorUmscConfig};
 pub use config::{Discretization, EigSolver, GraphKind, UmscConfig, Weighting};
 pub use error::UmscError;
+pub use fused::{
+    anchor_fused_operator, sparse_fused_operator, AnchorFused, DenseFused, FusedOperator, SparseFused,
+};
 pub use gpi::{gpi_stiefel, gpi_stiefel_op_ws, gpi_stiefel_ws, GpiWorkspace};
 pub use indicator::{indicator_to_labels, labels_to_indicator, scaled_indicator};
 pub use pipeline::{
@@ -61,7 +64,6 @@ pub use pipeline::{
     spectral_embedding, spectral_embedding_with_values, GraphConfig, Metric,
 };
 pub use solver::{init_rotation, IterationStats, SolverState, StepStats, Umsc, UmscResult};
-pub use sparse_solver::sparse_fused_operator;
 pub use workspace::SolverWorkspace;
 
 /// Result alias for this crate.

@@ -1,4 +1,5 @@
-//! The unified one-stage solver (block coordinate descent).
+//! The unified one-stage solver: one sweep engine over any
+//! [`FusedOperator`].
 //!
 //! See the crate docs for the objective. One outer iteration performs:
 //!
@@ -7,6 +8,11 @@
 //!    Stiefel manifold, where `L̄ = Σ_v w_v L⁽ᵛ⁾`;
 //! 3. **R-step** — orthogonal Procrustes `R = UVᵀ` of `Fᵀ Y_eff`;
 //! 4. **Y-step** — exact row-wise argmax of `F·R` with empty-cluster repair.
+//!
+//! The dense, sparse and anchor paths differ only in the operator that
+//! stores `L̄` (see [`crate::fused`]); validation, the `c = 1` shortcut,
+//! the warm start, the eigensolver dispatch, the sweep and the
+//! convergence loop are shared.
 //!
 //! With [`Weighting::Auto`] the reported objective is the parameter-free
 //! functional `Σ_v √tr(Fᵀ L⁽ᵛ⁾ F) + λ‖FR − Y_eff‖²` (the auto-weights are
@@ -17,7 +23,8 @@
 
 use crate::config::{Discretization, EigSolver, UmscConfig, Weighting};
 use crate::error::UmscError;
-use crate::gpi::gpi_stiefel_ws;
+use crate::fused::{sparse_fused_operator, DenseFused, FusedOperator};
+use crate::gpi::gpi_stiefel_op_ws;
 use crate::indicator::{
     discretize_rows, discretize_rows_into, discretize_scaled_inplace, labels_to_indicator,
     labels_to_indicator_into, scaled_indicator_into,
@@ -26,10 +33,11 @@ use crate::pipeline::{build_view_laplacians, build_view_laplacians_sparse, spect
 use crate::workspace::SolverWorkspace;
 use crate::Result;
 use umsc_data::MultiViewDataset;
+use umsc_graph::CsrMatrix;
 use umsc_kmeans::{kmeans, KMeansConfig};
 use umsc_linalg::{
-    blanczos_smallest_ws, jacobi_eigen, lanczos_smallest, procrustes, procrustes_into,
-    BlanczosConfig, BlanczosWorkspace, LanczosConfig, Matrix,
+    blanczos_smallest_ws, lanczos_smallest, procrustes, procrustes_into, BlanczosConfig,
+    BlanczosWorkspace, LanczosConfig, LinOp, Matrix,
 };
 
 /// Snapshot of one outer iteration (for convergence plots).
@@ -125,7 +133,7 @@ impl Umsc {
     /// [`crate::GraphKind::is_sparse`]) run the matrix-free CSR path
     /// ([`Umsc::fit_laplacians_sparse`]) — O(nnz + n·c) workspace memory
     /// instead of O(n²) — while dense/CAN graphs, and the `KMeans`
-    /// discretization ablation (dense-path only), take [`Umsc::fit`].
+    /// discretization ablation, take [`Umsc::fit`].
     pub fn fit_auto(&self, data: &MultiViewDataset) -> Result<UmscResult> {
         let kmeans = matches!(self.config.discretization, Discretization::KMeans { .. });
         if self.config.graph.is_sparse() && !kmeans {
@@ -159,77 +167,57 @@ impl Umsc {
     }
 
     /// Fits the model on precomputed per-view (normalized) Laplacians —
-    /// the entry point when graphs come from elsewhere.
+    /// the entry point when graphs come from elsewhere. Runs the engine
+    /// on the materialised fused Laplacian ([`DenseFused`]).
     pub fn fit_laplacians(&self, laplacians: &[Matrix]) -> Result<UmscResult> {
-        let cfg = &self.config;
-        if laplacians.is_empty() {
-            return Err(UmscError::InvalidInput("no Laplacians given".into()));
-        }
-        let n = laplacians[0].rows();
-        for (v, l) in laplacians.iter().enumerate() {
-            if !l.is_square() || l.rows() != n {
-                return Err(UmscError::InvalidInput(format!(
-                    "Laplacian {v} has shape {}x{}, expected {n}x{n}",
-                    l.rows(),
-                    l.cols()
-                )));
-            }
-        }
-        let c = cfg.num_clusters;
-        if c == 0 {
-            return Err(UmscError::InvalidInput("num_clusters is zero".into()));
-        }
-        if c > n {
-            return Err(UmscError::InvalidInput(format!("num_clusters {c} exceeds n = {n}")));
-        }
-        if let Weighting::Fixed(w) = &cfg.weighting {
-            if w.len() != laplacians.len() {
-                return Err(UmscError::InvalidInput(format!(
-                    "{} fixed weights for {} views",
-                    w.len(),
-                    laplacians.len()
-                )));
-            }
-            if w.iter().any(|&x| !x.is_finite() || x < 0.0) {
-                return Err(UmscError::InvalidInput("fixed weights must be finite and non-negative".into()));
-            }
-            if w.iter().sum::<f64>() <= 0.0 {
-                return Err(UmscError::InvalidInput("fixed weights must not all be zero".into()));
-            }
-        }
+        validate(laplacians.iter().map(Matrix::shape), true, &self.config)?;
+        self.fit_operator(&mut DenseFused::new(laplacians))
+    }
 
-        // Degenerate single-cluster case.
-        if c == 1 {
+    /// Fits the model on precomputed **sparse** per-view normalized
+    /// Laplacians without ever forming an `n × n` dense matrix: the
+    /// engine runs on [`crate::SparseFused`], so workspace memory stays
+    /// O(nnz + n·c). Use it when graphs are k-NN/ε-ball sparse and `n` is
+    /// large.
+    pub fn fit_laplacians_sparse(&self, laplacians: &[CsrMatrix]) -> Result<UmscResult> {
+        validate(laplacians.iter().map(|l| (l.rows(), l.cols())), true, &self.config)?;
+        self.fit_operator(&mut sparse_fused_operator(laplacians))
+    }
+
+    /// The sweep engine. `op` must hold validated views at its
+    /// constructor's uniform weights; every entry point lands here.
+    pub(crate) fn fit_operator<O: FusedOperator>(&self, op: &mut O) -> Result<UmscResult> {
+        let cfg = &self.config;
+        if cfg.num_clusters == 1 {
+            let n = op.op().dim();
+            let embedding = self.cold_solve(op)?;
+            let view_weights = match &cfg.weighting {
+                Weighting::Fixed(w) => normalized(w),
+                _ => normalized(&vec![1.0; op.num_views()]),
+            };
             return Ok(UmscResult {
                 labels: vec![0; n],
-                embedding: spectral_embedding(&mean_laplacian(laplacians), 1, cfg.seed)?,
+                embedding,
                 rotation: Matrix::identity(1),
                 indicator: Matrix::filled(n, 1, 1.0),
-                view_weights: normalized(&vec![1.0; laplacians.len()]),
+                view_weights,
                 history: Vec::new(),
                 converged: true,
             });
         }
-
-        match cfg.discretization {
-            Discretization::KMeans { restarts } => self.fit_two_stage(laplacians, restarts),
-            Discretization::Rotation | Discretization::ScaledRotation => self.fit_one_stage(laplacians),
+        if let Discretization::KMeans { restarts } = cfg.discretization {
+            return self.fit_two_stage(op, restarts);
         }
-    }
 
-    /// One-stage BCD (the paper's method).
-    fn fit_one_stage(&self, laplacians: &[Matrix]) -> Result<UmscResult> {
-        let cfg = &self.config;
         let obs = umsc_obs::enabled();
         let fit_start = obs.then(std::time::Instant::now);
         let mut ws = SolverWorkspace::new();
-        let mut st = self.init_solver_state_ws(laplacians, &mut ws)?;
+        let mut st = self.init_solver_state(op, &mut ws)?;
         let mut history: Vec<IterationStats> = Vec::with_capacity(cfg.max_iter);
         let mut converged = false;
-
         for _iter in 0..cfg.max_iter {
             let sweep_start = obs.then(std::time::Instant::now);
-            let stats = self.one_step_solve(laplacians, &mut st, &mut ws)?;
+            let stats = self.one_step_solve(op, &mut st, &mut ws)?;
             let prev = history.last().map(|s: &IterationStats| s.objective);
             history.push(IterationStats {
                 objective: stats.objective,
@@ -240,7 +228,7 @@ impl Umsc {
             if obs {
                 let entry = history.last().expect("just pushed");
                 crate::telemetry::sweep(
-                    "dense",
+                    O::PATH,
                     history.len() - 1,
                     &stats,
                     prev,
@@ -248,19 +236,12 @@ impl Umsc {
                     crate::telemetry::elapsed_ns(sweep_start),
                 );
             }
-            if let Some(p) = prev {
-                if (p - stats.objective).abs() <= cfg.tol * (1.0 + p.abs()) {
-                    converged = true;
-                    break;
-                }
+            if prev.is_some_and(|p| self.settled(p, stats.objective)) {
+                converged = true;
+                break;
             }
         }
-        crate::telemetry::fit_done(
-            "dense",
-            history.len(),
-            converged,
-            crate::telemetry::elapsed_ns(fit_start),
-        );
+        crate::telemetry::fit_done(O::PATH, history.len(), converged, crate::telemetry::elapsed_ns(fit_start));
 
         let SolverState { f, r, y, labels, weights } = st;
         Ok(UmscResult {
@@ -276,50 +257,40 @@ impl Umsc {
 
     /// Initializes the BCD state for [`Umsc::one_step_solve`].
     ///
-    /// Warm-starts `F` at the solution of the relaxed problem (λ→0), i.e.
-    /// the converged (re-weighted) spectral embedding. Starting the joint
+    /// Warm-starts `F` at the relaxed problem (λ→0): the spectral
+    /// embedding of the mean Laplacian, re-weighted once. Starting the joint
     /// loop from the unweighted mean Laplacian instead lets noisy views
     /// pollute the first indicator, and the alignment feedback then locks
     /// the bad start in. The rotation is initialized by the Yu–Shi scheme
     /// (raw argmax on F degenerates because the first Laplacian eigenvector
     /// is near-constant).
     ///
-    /// Callers driving the solver manually must pass validated Laplacians
-    /// (square, equal sizes, `c ≤ n`) — [`Umsc::fit_laplacians`] performs
-    /// that validation before dispatching here.
-    pub fn init_solver_state(&self, laplacians: &[Matrix]) -> Result<SolverState> {
-        self.init_solver_state_ws(laplacians, &mut SolverWorkspace::new())
-    }
-
-    /// [`Umsc::init_solver_state`] through a caller-provided workspace: the
-    /// warm-start re-weighting sweeps carry their Ritz subspace in the
-    /// workspace's block-Lanczos state, so every sweep after the first
-    /// re-converges from the previous sweep's eigenbasis instead of from
-    /// scratch (see [`EigSolver`]).
-    pub fn init_solver_state_ws(
+    /// `op` must hold validated views (`c ≤ n`) at its constructor's
+    /// uniform weights; the fit entry points check this before calling.
+    pub fn init_solver_state<O: FusedOperator>(
         &self,
-        laplacians: &[Matrix],
+        op: &mut O,
         ws: &mut SolverWorkspace,
     ) -> Result<SolverState> {
         let c = self.config.num_clusters;
-        let f = self.warm_start_embedding(laplacians, ws)?;
+        let (f, _, _) = self.warm_start(op, ws, 1)?;
         let r = init_rotation(&f)?;
         let labels = discretize_rows(&f.matmul(&r));
         let y = labels_to_indicator(&labels, c);
-        let weights = vec![1.0 / laplacians.len() as f64; laplacians.len()];
+        let weights = normalized(&vec![1.0; op.num_views()]);
         Ok(SolverState { f, r, y, labels, weights })
     }
 
     /// Performs one full BCD sweep (w-, F-, R-, Y-step) in place.
     ///
-    /// All intermediates live in `ws`; after the first call (which sizes
-    /// the buffers) the iteration body performs **zero heap allocations**
-    /// — asserted by the counting-allocator test in `tests/alloc_free.rs`.
-    /// [`Umsc::fit_laplacians`] drives exactly this method; stepping it
-    /// manually yields the same iterates.
-    pub fn one_step_solve(
+    /// All intermediates live in `ws` (and in `op`); after the first call
+    /// sizes the buffers the sweep performs **zero heap allocations** —
+    /// asserted for every operator by `tests/alloc_free.rs`. The fit
+    /// entry points drive exactly this method; stepping it manually yields
+    /// the same iterates.
+    pub fn one_step_solve<O: FusedOperator>(
         &self,
-        laplacians: &[Matrix],
+        op: &mut O,
         st: &mut SolverState,
         ws: &mut SolverWorkspace,
     ) -> Result<StepStats> {
@@ -333,41 +304,42 @@ impl Umsc {
         // edge — the alignment term refines the warm-started embedding
         // instead of overruling the graphs.
         let lambda_eff = cfg.lambda * c as f64 / (10.0 * n as f64);
-        ws.ensure(n, c, true);
+        ws.ensure(n, c);
 
-        // --- w-step ---
         {
             let _span = umsc_obs::span!("solve.w_step");
-            view_traces_into(laplacians, &st.f, &mut ws.lf, &mut ws.cc, &mut ws.traces);
+            op.view_traces(&st.f, &mut ws.lf, &mut ws.cc, &mut ws.traces);
             self.weights_from_traces_into(&ws.traces, &mut st.weights);
         }
 
-        // --- F-step ---
         {
             let _span = umsc_obs::span!("solve.f_step");
-            weighted_laplacian_into(laplacians, &st.weights, &mut ws.a);
+            op.set_weights(&st.weights);
             effective_indicator(&st.y, scaled, &mut ws.sizes, &mut ws.y_eff);
-            b_matrix_into(&ws.y_eff, &st.r, lambda_eff, &mut ws.b);
-            gpi_stiefel_ws(&ws.a, &ws.b, &mut st.f, cfg.gpi_max_iter, 1e-10, &mut ws.gpi)?;
+            ws.y_eff.matmul_transpose_b_into(&st.r, &mut ws.b);
+            ws.b.scale_mut(lambda_eff);
+            gpi_stiefel_op_ws(op.op(), op.eta(), &ws.b, &mut st.f, cfg.gpi_max_iter, 1e-10, &mut ws.gpi)?;
         }
 
-        // --- R-step ---
-        // Procrustes on the row-normalized embedding F̃ (Yu–Shi): each
-        // point votes equally in the alignment, so low-norm boundary
+        // R-step: Procrustes on the row-normalized embedding F̃ (Yu–Shi):
+        // each point votes equally in the alignment, so low-norm boundary
         // rows cannot skew the rotation.
         {
             let _span = umsc_obs::span!("solve.r_step");
             effective_indicator(&st.y, scaled, &mut ws.sizes, &mut ws.y_eff);
-            row_normalized_into(&st.f, &mut ws.f_tilde);
+            ws.f_tilde.copy_from(&st.f);
+            for i in 0..n {
+                umsc_linalg::ops::normalize(ws.f_tilde.row_mut(i));
+            }
             ws.f_tilde.matmul_transpose_a_into(&ws.y_eff, &mut ws.cc);
             procrustes_into(&ws.cc, &mut ws.svd_r, &mut st.r)?;
             umsc_obs::counter!("procrustes.updates", 1);
         }
 
-        // --- Y-step --- For the plain indicator, row-wise argmax is
-        // the exact minimizer. For the scaled indicator the column
-        // scales couple the rows, so the exact block minimizer is the
-        // size-aware coordinate descent (crucial on unbalanced data).
+        // Y-step: for the plain indicator, row-wise argmax is the exact
+        // minimizer. For the scaled indicator the column scales couple
+        // the rows, so the exact block minimizer is the size-aware
+        // coordinate descent (crucial on unbalanced data).
         {
             let _span = umsc_obs::span!("solve.y_step");
             st.f.matmul_into(&st.r, &mut ws.fr);
@@ -379,116 +351,84 @@ impl Umsc {
             umsc_obs::counter!("indicator.updates", 1);
         }
 
-        // --- bookkeeping ---
-        view_traces_into(laplacians, &st.f, &mut ws.lf, &mut ws.cc, &mut ws.traces);
+        op.view_traces(&st.f, &mut ws.lf, &mut ws.cc, &mut ws.traces);
         let emb = self.embedding_objective(&ws.traces);
         effective_indicator(&st.y, scaled, &mut ws.sizes, &mut ws.y_eff);
         let rot = lambda_eff * frobenius_distance(&ws.fr, &ws.y_eff).powi(2);
         Ok(StepStats { objective: emb + rot, embedding_term: emb, rotation_term: rot })
     }
 
-    /// Two-stage ablation: auto-weighted embedding, then K-means.
-    fn fit_two_stage(&self, laplacians: &[Matrix], restarts: usize) -> Result<UmscResult> {
-        let cfg = &self.config;
-        let c = cfg.num_clusters;
-        let n = laplacians[0].rows();
-        let mut eig = BlanczosWorkspace::new();
-        let mut f = Matrix::zeros(n, c);
-        let mut a = mean_laplacian(laplacians);
-        self.embedding_solve(&a, &mut f, &mut eig)?;
-        let mut history: Vec<IterationStats> = Vec::with_capacity(cfg.max_iter);
-        let mut converged = false;
-        let mut weights = vec![1.0 / laplacians.len() as f64; laplacians.len()];
-
-        for _iter in 0..cfg.max_iter {
-            let traces = view_traces(laplacians, &f);
-            weights = self.weights_from_traces(&traces);
-            weighted_laplacian_into(laplacians, &weights, &mut a);
-            self.embedding_solve(&a, &mut f, &mut eig)?;
-
-            let traces = view_traces(laplacians, &f);
-            let emb = self.embedding_objective(&traces);
-            let prev = history.last().map(|s: &IterationStats| s.objective);
-            history.push(IterationStats {
-                objective: emb,
-                embedding_term: emb,
-                rotation_term: 0.0,
-                weights: normalized(&weights),
-            });
-            if let Some(p) = prev {
-                if (p - emb).abs() <= cfg.tol * (1.0 + p.abs()) {
-                    converged = true;
-                    break;
-                }
-            }
-            if matches!(cfg.weighting, Weighting::Uniform | Weighting::Fixed(_)) {
-                // Weights never change: one embedding solve is exact.
-                converged = true;
-                break;
-            }
-        }
-
-        // Stage two: K-means on the (row-normalized) embedding.
+    /// Two-stage ablation: the warm start's auto-weighted embedding, then
+    /// K-means on its rows.
+    fn fit_two_stage<O: FusedOperator>(&self, op: &mut O, restarts: usize) -> Result<UmscResult> {
+        let c = self.config.num_clusters;
+        let rounds = if self.config.weighting == Weighting::Auto { self.config.max_iter } else { 1 };
+        let (f, history, converged) = self.warm_start(op, &mut SolverWorkspace::new(), rounds)?;
         let mut rows = f.clone();
         for i in 0..rows.rows() {
             umsc_linalg::ops::normalize(rows.row_mut(i));
         }
-        let km = kmeans(&rows, &KMeansConfig::new(c).with_seed(cfg.seed).with_restarts(restarts.max(1)));
-        let labels = km.labels;
-        let y = labels_to_indicator(&labels, c);
-
+        let km = kmeans(&rows, &KMeansConfig::new(c).with_seed(self.config.seed).with_restarts(restarts.max(1)));
+        let indicator = labels_to_indicator(&km.labels, c);
         Ok(UmscResult {
-            labels,
+            labels: km.labels,
             embedding: f,
             rotation: Matrix::identity(c),
-            indicator: y,
-            view_weights: normalized(&weights),
+            indicator,
+            view_weights: history.last().map(|h| h.weights.clone()).unwrap_or_default(),
             history,
             converged,
         })
     }
 
-    /// Solves the relaxed (λ→0) problem: the re-weighted spectral
-    /// embedding iterated to stationarity (a handful of eigen-solves; with
-    /// non-adaptive weights a single solve is exact).
+    /// Solves the relaxed (λ→0) problem: the spectral embedding of the
+    /// operator at its current (uniform) weights, then up to `rounds`
+    /// re-weighted solves, stopping early once the embedding term settles
+    /// (with non-adaptive weights one round is exact). Leaves `op` at the
+    /// last round's weights. Returns the embedding, one history entry per
+    /// round (the embedding term alone) and whether the rounds settled.
     ///
-    /// The eigensolver behind each sweep is chosen by [`UmscConfig::eig`];
-    /// under the default `Auto` policy the first solve is cold and every
-    /// re-weighting sweep after it warm-starts block Lanczos from the
-    /// previous sweep's Ritz subspace (carried in `ws.eig`). The fused
-    /// Laplacian of each sweep is accumulated into `ws.a`, so the loop
-    /// body stops allocating O(n²) per round.
-    fn warm_start_embedding(&self, laplacians: &[Matrix], ws: &mut SolverWorkspace) -> Result<Matrix> {
+    /// The one-stage fit asks for a single round: the BCD sweeps that
+    /// follow re-weight anyway, and the published quick-profile tables
+    /// are measured from that start.
+    fn warm_start<O: FusedOperator>(
+        &self,
+        op: &mut O,
+        ws: &mut SolverWorkspace,
+        rounds: usize,
+    ) -> Result<(Matrix, Vec<IterationStats>, bool)> {
         let _span = umsc_obs::span!("solve.warm_start");
         let cfg = &self.config;
-        let c = cfg.num_clusters;
-        let n = laplacians[0].rows();
-        ws.ensure(n, c, true);
+        let (n, c) = (op.op().dim(), cfg.num_clusters);
+        ws.ensure(n, c);
         let mut f = Matrix::zeros(n, c);
-        let a0 = mean_laplacian(laplacians);
-        self.embedding_solve(&a0, &mut f, &mut ws.eig)?;
-        let rounds = match cfg.weighting {
-            Weighting::Auto => cfg.max_iter.max(1),
-            Weighting::Uniform | Weighting::Fixed(_) => 1,
-        };
-        let mut prev_obj = f64::INFINITY;
+        self.embedding_solve(op, &mut f, &mut ws.eig)?;
+        let rounds = rounds.max(1);
+        let mut history: Vec<IterationStats> = Vec::with_capacity(rounds);
+        let mut weights = Vec::new();
         for _ in 0..rounds {
-            let traces = view_traces(laplacians, &f);
-            let weights = self.weights_from_traces(&traces);
-            weighted_laplacian_into(laplacians, &weights, &mut ws.a);
-            self.embedding_solve(&ws.a, &mut f, &mut ws.eig)?;
-            let obj = self.embedding_objective(&view_traces(laplacians, &f));
-            if (prev_obj - obj).abs() <= cfg.tol * (1.0 + prev_obj.abs()) {
-                break;
+            op.view_traces(&f, &mut ws.lf, &mut ws.cc, &mut ws.traces);
+            self.weights_from_traces_into(&ws.traces, &mut weights);
+            op.set_weights(&weights);
+            self.embedding_solve(op, &mut f, &mut ws.eig)?;
+            op.view_traces(&f, &mut ws.lf, &mut ws.cc, &mut ws.traces);
+            let obj = self.embedding_objective(&ws.traces);
+            let prev = history.last().map(|h| h.objective);
+            history.push(IterationStats {
+                objective: obj,
+                embedding_term: obj,
+                rotation_term: 0.0,
+                weights: normalized(&weights),
+            });
+            if prev.is_some_and(|p| self.settled(p, obj)) {
+                return Ok((f, history, true));
             }
-            prev_obj = obj;
         }
-        Ok(f)
+        Ok((f, history, cfg.weighting != Weighting::Auto))
     }
 
-    /// One embedding eigensolve of the dense fused Laplacian `a` under the
-    /// configured [`EigSolver`] policy, writing the `c` smallest
-    /// eigenvectors into `f`.
+    /// The one eigensolver entry point: the `c` smallest eigenvectors of
+    /// `op` into `f` under the configured [`EigSolver`] policy.
     ///
     /// `eig` is the persistent block-Lanczos state: when it is warm (a
     /// subspace of the right shape was left by a previous solve or seeded
@@ -496,59 +436,54 @@ impl Umsc {
     /// policies restart from it — the whole point of carrying the
     /// workspace across sweeps — and the solve runs under an `eig.warm`
     /// span for the trace.
-    fn embedding_solve(&self, a: &Matrix, f: &mut Matrix, eig: &mut BlanczosWorkspace) -> Result<()> {
+    fn embedding_solve<O: FusedOperator>(
+        &self,
+        op: &O,
+        f: &mut Matrix,
+        eig: &mut BlanczosWorkspace,
+    ) -> Result<()> {
         let cfg = &self.config;
-        let c = cfg.num_clusters;
-        let n = a.rows();
         match cfg.eig {
-            EigSolver::Auto => {
-                if eig.is_warm() {
-                    let _g = umsc_obs::span!("eig.warm");
-                    let bcfg = BlanczosConfig { seed: cfg.seed, ..Default::default() };
-                    blanczos_smallest_ws(a, c, &bcfg, eig)?;
-                    copy_embedding(f, eig.subspace());
-                } else {
-                    *f = spectral_embedding(a, c, cfg.seed)?;
-                    eig.seed_from(f);
-                }
+            EigSolver::Auto if !eig.is_warm() => {
+                f.copy_from(&self.cold_solve(op)?);
+                eig.seed_from(f);
             }
-            EigSolver::Blanczos => {
+            EigSolver::Lanczos => f.copy_from(&self.lanczos(op.op())?),
+            EigSolver::Auto | EigSolver::Blanczos => {
                 let _g = eig.is_warm().then(|| umsc_obs::span!("eig.warm"));
                 let bcfg = BlanczosConfig { seed: cfg.seed, ..Default::default() };
-                blanczos_smallest_ws(a, c, &bcfg, eig)?;
-                copy_embedding(f, eig.subspace());
-            }
-            EigSolver::Lanczos => {
-                let lcfg = LanczosConfig {
-                    seed: cfg.seed,
-                    initial_subspace: (2 * c + 20).min(n),
-                    ..Default::default()
-                };
-                let (_, vecs) = lanczos_smallest(a, c, &lcfg)?;
-                copy_embedding(f, &vecs);
-            }
-            EigSolver::Jacobi => {
-                let (_, vecs) = jacobi_eigen(a)?;
-                if f.shape() != (n, c) {
-                    *f = Matrix::zeros(n, c);
-                }
-                for j in 0..c {
-                    f.set_col(j, &vecs.col(j));
-                }
+                blanczos_smallest_ws(op.op(), cfg.num_clusters, &bcfg, eig)?;
+                f.copy_from(eig.subspace());
             }
         }
         Ok(())
     }
 
-    /// Closed-form weights from the per-view embedding traces.
-    fn weights_from_traces(&self, traces: &[f64]) -> Vec<f64> {
-        let mut weights = Vec::with_capacity(traces.len());
-        self.weights_from_traces_into(traces, &mut weights);
-        weights
+    /// A cold solve with no subspace to start from: the dense QL path
+    /// (below its size threshold) when the operator is materialised,
+    /// scalar Lanczos otherwise.
+    fn cold_solve<O: FusedOperator>(&self, op: &O) -> Result<Matrix> {
+        match op.dense() {
+            Some(a) => spectral_embedding(a, self.config.num_clusters, self.config.seed),
+            None => self.lanczos(op.op()),
+        }
     }
 
-    /// [`Umsc::weights_from_traces`] reusing the output vector's capacity.
-    pub(crate) fn weights_from_traces_into(&self, traces: &[f64], weights: &mut Vec<f64>) {
+    fn lanczos(&self, op: &dyn LinOp) -> Result<Matrix> {
+        let c = self.config.num_clusters;
+        let initial_subspace = (2 * c + 20).min(op.dim());
+        let lcfg = LanczosConfig { seed: self.config.seed, initial_subspace, ..Default::default() };
+        Ok(lanczos_smallest(op, c, &lcfg)?.1)
+    }
+
+    /// Whether an objective moved from `prev` to `obj` within tolerance.
+    fn settled(&self, prev: f64, obj: f64) -> bool {
+        (prev - obj).abs() <= self.config.tol * (1.0 + prev.abs())
+    }
+
+    /// Closed-form weights from the per-view embedding traces, reusing the
+    /// output vector's capacity.
+    fn weights_from_traces_into(&self, traces: &[f64], weights: &mut Vec<f64>) {
         weights.clear();
         match &self.config.weighting {
             Weighting::Auto => weights.extend(traces.iter().map(|&t| 1.0 / (2.0 * t.max(1e-10).sqrt()))),
@@ -562,7 +497,7 @@ impl Umsc {
 
     /// The embedding term of the reported objective (scheme-dependent; see
     /// module docs).
-    pub(crate) fn embedding_objective(&self, traces: &[f64]) -> f64 {
+    fn embedding_objective(&self, traces: &[f64]) -> f64 {
         match &self.config.weighting {
             Weighting::Auto => traces.iter().map(|&t| t.max(0.0).sqrt()).sum(),
             Weighting::Uniform => traces.iter().sum::<f64>() / traces.len() as f64,
@@ -574,63 +509,48 @@ impl Umsc {
     }
 }
 
-/// `tr(Fᵀ L⁽ᵛ⁾ F)` for every view.
-fn view_traces(laplacians: &[Matrix], f: &Matrix) -> Vec<f64> {
-    let (n, c) = f.shape();
-    let mut lf = Matrix::zeros(n, c);
-    let mut cc = Matrix::zeros(c, c);
-    let mut traces = Vec::with_capacity(laplacians.len());
-    view_traces_into(laplacians, f, &mut lf, &mut cc, &mut traces);
-    traces
-}
-
-/// [`view_traces`] through caller-provided scratch (`lf` is `n × c`, `cc`
-/// is `c × c`): allocation-free once `traces` has capacity.
-fn view_traces_into(
-    laplacians: &[Matrix],
-    f: &Matrix,
-    lf: &mut Matrix,
-    cc: &mut Matrix,
-    traces: &mut Vec<f64>,
-) {
-    traces.clear();
-    for l in laplacians {
-        l.matmul_into(f, lf);
-        f.matmul_transpose_a_into(lf, cc);
-        traces.push(cc.trace());
+/// The one input check of every fit entry point: at least one view,
+/// every view `n` rows (and `n × n` when `square`), `1 ≤ c ≤ n`, and
+/// fixed weights that are one per view, finite, non-negative and not all
+/// zero.
+pub(crate) fn validate(
+    shapes: impl Iterator<Item = (usize, usize)>,
+    square: bool,
+    cfg: &UmscConfig,
+) -> Result<()> {
+    let bad = |msg: String| Err(UmscError::InvalidInput(msg));
+    let mut n = None;
+    let mut views = 0;
+    for (v, (rows, cols)) in shapes.enumerate() {
+        let n = *n.get_or_insert(rows);
+        if rows != n || (square && cols != n) {
+            let want = if square { format!("{n}x{n}") } else { format!("{n} rows") };
+            return bad(format!("view {v} has shape {rows}x{cols}, expected {want}"));
+        }
+        views += 1;
     }
-}
-
-/// `Σ_v w_v · L⁽ᵛ⁾`, exactly symmetrized.
-fn weighted_laplacian(laplacians: &[Matrix], weights: &[f64]) -> Matrix {
-    let n = laplacians[0].rows();
-    let mut a = Matrix::zeros(n, n);
-    weighted_laplacian_into(laplacians, weights, &mut a);
-    a
-}
-
-/// [`weighted_laplacian`] writing into an existing `n × n` matrix.
-fn weighted_laplacian_into(laplacians: &[Matrix], weights: &[f64], a: &mut Matrix) {
-    a.as_mut_slice().fill(0.0);
-    for (l, &w) in laplacians.iter().zip(weights.iter()) {
-        a.axpy(w, l);
+    let Some(n) = n else { return bad("no views given".into()) };
+    let c = cfg.num_clusters;
+    if c == 0 || c > n {
+        return bad(format!("num_clusters {c} must lie in 1..={n}"));
     }
-    a.symmetrize_mut();
-}
-
-/// Copies an eigensolver's subspace into the embedding buffer without
-/// reallocating when shapes already match (the warm-sweep steady state).
-pub(crate) fn copy_embedding(f: &mut Matrix, sub: &Matrix) {
-    if f.shape() == sub.shape() {
-        f.as_mut_slice().copy_from_slice(sub.as_slice());
-    } else {
-        *f = sub.clone();
+    if let Weighting::Fixed(w) = &cfg.weighting {
+        if w.len() != views {
+            return bad(format!("{} fixed weights for {views} views", w.len()));
+        }
+        if w.iter().any(|&x| !x.is_finite() || x < 0.0) {
+            return bad("fixed weights must be finite and non-negative".into());
+        }
+        if w.iter().sum::<f64>() <= 0.0 {
+            return bad("fixed weights must not all be zero".into());
+        }
     }
+    Ok(())
 }
 
 /// Writes the effective indicator — `Y` itself, or the scaled
 /// `Y(YᵀY)^{-1/2}` for the scaled-rotation objective — into `out`.
-pub(crate) fn effective_indicator(y: &Matrix, scaled: bool, sizes: &mut Vec<f64>, out: &mut Matrix) {
+fn effective_indicator(y: &Matrix, scaled: bool, sizes: &mut Vec<f64>, out: &mut Matrix) {
     if scaled {
         scaled_indicator_into(y, sizes, out);
     } else {
@@ -642,7 +562,7 @@ pub(crate) fn effective_indicator(y: &Matrix, scaled: bool, sizes: &mut Vec<f64>
 /// squared residual in the same row-major order (and with the same
 /// `a + (-1.0)·b` update) as `(&a - &b).frobenius_norm()`, so the result
 /// is bitwise identical.
-pub(crate) fn frobenius_distance(a: &Matrix, b: &Matrix) -> f64 {
+fn frobenius_distance(a: &Matrix, b: &Matrix) -> f64 {
     debug_assert_eq!(a.shape(), b.shape());
     a.as_slice()
         .iter()
@@ -657,13 +577,7 @@ pub(crate) fn frobenius_distance(a: &Matrix, b: &Matrix) -> f64 {
         .sqrt()
 }
 
-/// Unweighted mean Laplacian (initialization).
-fn mean_laplacian(laplacians: &[Matrix]) -> Matrix {
-    let mut a = weighted_laplacian(laplacians, &vec![1.0; laplacians.len()]);
-    a.scale_mut(1.0 / laplacians.len() as f64);
-    a
-}
-
+/// `w` scaled to sum 1 (uniform when it sums to zero).
 fn normalized(w: &[f64]) -> Vec<f64> {
     let s: f64 = w.iter().sum();
     if s > 0.0 {
@@ -711,21 +625,6 @@ pub fn init_rotation(f: &Matrix) -> Result<Matrix> {
         return Ok(Matrix::identity(c));
     }
     Ok(procrustes(&r)?)
-}
-
-/// Row-normalized copy into `out` (rows on the unit sphere; zero rows
-/// left as-is).
-pub(crate) fn row_normalized_into(f: &Matrix, out: &mut Matrix) {
-    out.copy_from(f);
-    for i in 0..out.rows() {
-        umsc_linalg::ops::normalize(out.row_mut(i));
-    }
-}
-
-/// `B = λ · Y_eff · Rᵀ`, the attraction term of the F-step, into `b`.
-pub(crate) fn b_matrix_into(y_eff: &Matrix, r: &Matrix, lambda: f64, b: &mut Matrix) {
-    y_eff.matmul_transpose_b_into(r, b);
-    b.scale_mut(lambda);
 }
 
 #[cfg(test)]
@@ -935,7 +834,7 @@ mod tests {
         // well-separated data.
         let data = easy_gmm(16);
         let base = Umsc::new(UmscConfig::new(3)).fit(&data).unwrap();
-        for eig in [EigSolver::Lanczos, EigSolver::Blanczos, EigSolver::Jacobi] {
+        for eig in [EigSolver::Lanczos, EigSolver::Blanczos] {
             let res = Umsc::new(UmscConfig::new(3).with_eig(eig)).fit(&data).unwrap();
             assert!(
                 umsc_metrics::nmi(&base.labels, &res.labels) > 0.99,
@@ -966,5 +865,143 @@ mod tests {
                 assert!(res.labels.contains(&j), "λ={lambda}: cluster {j} empty");
             }
         }
+    }
+
+    fn sparse_laplacians(data: &MultiViewDataset, k: usize) -> Vec<CsrMatrix> {
+        use umsc_graph::{knn_affinity, normalized_laplacian_sparse, pairwise_sq_distances, Bandwidth};
+        let bandwidth = Bandwidth::SelfTuning { k: 7 };
+        data.views
+            .iter()
+            .map(|x| normalized_laplacian_sparse(&knn_affinity(&pairwise_sq_distances(x), k, &bandwidth)))
+            .collect()
+    }
+
+    fn two_view_gmm(per: usize, seed: u64) -> MultiViewDataset {
+        let mut gen = MultiViewGmm::new("sp", 3, per, vec![ViewSpec::clean(6), ViewSpec::clean(8)]);
+        gen.separation = 6.0;
+        gen.generate(seed)
+    }
+
+    #[test]
+    fn sparse_path_matches_dense_path() {
+        // Same k-NN Laplacians through both doors.
+        let data = two_view_gmm(25, 1);
+        let model = Umsc::new(UmscConfig::new(3));
+        let sparse_ls = sparse_laplacians(&data, 10);
+        let dense_ls: Vec<Matrix> = sparse_ls.iter().map(|l| l.to_dense()).collect();
+        let dense = model.fit_laplacians(&dense_ls).unwrap();
+        let sparse = model.fit_laplacians_sparse(&sparse_ls).unwrap();
+        // Partitions agree (the cold eigensolvers differ, so demand
+        // partition identity, not bitwise equality).
+        assert!(umsc_metrics::nmi(&dense.labels, &sparse.labels) > 0.99, "partitions diverge");
+        let acc = clustering_accuracy(&sparse.labels, &data.labels);
+        assert!(acc > 0.95, "sparse path ACC {acc}");
+    }
+
+    #[test]
+    fn sparse_objective_monotone_and_structures_valid() {
+        let data = two_view_gmm(30, 2);
+        let res = Umsc::new(UmscConfig::new(3)).fit_laplacians_sparse(&sparse_laplacians(&data, 10)).unwrap();
+        for w in res.history.windows(2) {
+            assert!(w[1].objective <= w[0].objective + 1e-5 * (1.0 + w[0].objective.abs()));
+        }
+        assert!(res.embedding.matmul_transpose_a(&res.embedding).approx_eq(&Matrix::identity(3), 1e-6));
+        assert!((res.view_weights.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn noisy_view_downweighted_sparse() {
+        let mut data = two_view_gmm(30, 3);
+        data.corrupt_view(1, 1.0, 9);
+        let res = Umsc::new(UmscConfig::new(3)).fit_laplacians_sparse(&sparse_laplacians(&data, 10)).unwrap();
+        assert!(res.view_weights[1] < res.view_weights[0], "{:?}", res.view_weights);
+    }
+
+    #[test]
+    fn sparse_fixed_and_uniform_weighting() {
+        let data = two_view_gmm(20, 4);
+        let ls = sparse_laplacians(&data, 8);
+        let res = Umsc::new(UmscConfig::new(3).with_weighting(Weighting::Uniform))
+            .fit_laplacians_sparse(&ls)
+            .unwrap();
+        assert!(res.view_weights.iter().all(|&w| (w - 0.5).abs() < 1e-12));
+        let res = Umsc::new(UmscConfig::new(3).with_weighting(Weighting::Fixed(vec![3.0, 1.0])))
+            .fit_laplacians_sparse(&ls)
+            .unwrap();
+        assert!((res.view_weights[0] - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sparse_validates_input() {
+        let model = Umsc::new(UmscConfig::new(2));
+        assert!(model.fit_laplacians_sparse(&[]).is_err());
+        let bad = vec![CsrMatrix::identity(3), CsrMatrix::identity(4)];
+        assert!(model.fit_laplacians_sparse(&bad).is_err());
+        let one = vec![CsrMatrix::identity(3)];
+        assert!(Umsc::new(UmscConfig::new(9)).fit_laplacians_sparse(&one).is_err());
+    }
+
+    #[test]
+    fn bad_fixed_weights_rejected_on_every_path() {
+        let data = two_view_gmm(10, 5);
+        let ls = sparse_laplacians(&data, 6);
+        for w in [vec![1.0, -1.0], vec![0.0, 0.0], vec![f64::NAN, 1.0]] {
+            let model = Umsc::new(UmscConfig::new(3).with_weighting(Weighting::Fixed(w.clone())));
+            for res in [model.fit(&data), model.fit_auto(&data), model.fit_laplacians_sparse(&ls)] {
+                assert!(matches!(res, Err(UmscError::InvalidInput(_))), "{w:?}: {res:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_eig_policies_agree() {
+        let data = two_view_gmm(25, 11);
+        let ls = sparse_laplacians(&data, 10);
+        let base = Umsc::new(UmscConfig::new(3)).fit_laplacians_sparse(&ls).unwrap();
+        for eig in [EigSolver::Lanczos, EigSolver::Blanczos] {
+            let res = Umsc::new(UmscConfig::new(3).with_eig(eig)).fit_laplacians_sparse(&ls).unwrap();
+            assert!(umsc_metrics::nmi(&base.labels, &res.labels) > 0.99, "{eig:?} partition diverges");
+        }
+    }
+
+    #[test]
+    fn single_cluster_is_one_shortcut_for_every_path() {
+        let data = two_view_gmm(12, 6);
+        let sparse_ls = sparse_laplacians(&data, 6);
+        let dense_ls: Vec<Matrix> = sparse_ls.iter().map(|l| l.to_dense()).collect();
+        let model = Umsc::new(UmscConfig::new(1).with_weighting(Weighting::Fixed(vec![3.0, 1.0])));
+        let dense = model.fit_laplacians(&dense_ls).unwrap();
+        let sparse = model.fit_laplacians_sparse(&sparse_ls).unwrap();
+        for res in [&dense, &sparse] {
+            assert_eq!(res.labels, vec![0; data.n()]);
+            assert!(res.converged);
+            assert_eq!(res.view_weights, vec![0.75, 0.25]);
+        }
+        // Both embeddings are the bottom eigenvector of the mean
+        // Laplacian (D^{1/2}·1 normalized, not the constant vector).
+        let align = dense.embedding.matmul_transpose_a(&sparse.embedding).trace().abs();
+        assert!((align - 1.0).abs() < 1e-8, "c = 1 embeddings differ: |<f_dense, f_sparse>| = {align}");
+    }
+
+    #[test]
+    fn fused_operator_weights_swap_in_place() {
+        let data = two_view_gmm(15, 7);
+        let ls = sparse_laplacians(&data, 6);
+        let mut fused = crate::sparse_fused_operator(&ls);
+        let n = fused.dim();
+        let x: Vec<f64> = (0..n).map(|i| ((i * 13 + 5) as f64).sin()).collect();
+        let mut y = vec![0.0; n];
+        FusedOperator::set_weights(&mut fused, &[0.6, 0.4]);
+        fused.apply_into(&x, &mut y);
+        // Reference: per-view spmv accumulated in view order.
+        let mut expect = vec![0.0; n];
+        let mut tmp = vec![0.0; n];
+        for (l, w) in ls.iter().zip([0.6, 0.4]) {
+            l.spmv(&x, &mut tmp);
+            for (e, &t) in expect.iter_mut().zip(tmp.iter()) {
+                *e += w * t;
+            }
+        }
+        assert_eq!(y, expect, "fused operator diverges from per-view reference");
     }
 }

@@ -1,9 +1,9 @@
 //! Reusable solver buffers.
 //!
-//! One outer BCD iteration of the unified solver touches an `n × n`
-//! fused Laplacian, several `n × c` intermediates, two SVD scratches of
-//! different shapes (the `n × c` polar factor inside GPI and the `c × c`
-//! Procrustes rotation), and a handful of label/size vectors. Allocating
+//! One outer BCD iteration of the unified solver touches several `n × c`
+//! intermediates, two SVD scratches of different shapes (the `n × c`
+//! polar factor inside GPI and the `c × c` Procrustes rotation), and a
+//! handful of label/size vectors. Allocating
 //! them per iteration dominated small-`c` profiles; [`SolverWorkspace`]
 //! owns them all so [`crate::Umsc::one_step_solve`] performs **zero heap
 //! allocations per iteration** once the workspace is warm (asserted by a
@@ -30,8 +30,6 @@ pub(crate) fn ensure_shape(m: &mut Matrix, rows: usize, cols: usize) {
 /// reused thereafter.
 #[derive(Debug, Clone)]
 pub struct SolverWorkspace {
-    /// `n × n` fused Laplacian `Σ_v w_v L⁽ᵛ⁾`.
-    pub(crate) a: Matrix,
     /// `n × c` sparse/dense product scratch `L·F`.
     pub(crate) lf: Matrix,
     /// `c × c` trace / Procrustes-input scratch.
@@ -44,9 +42,7 @@ pub struct SolverWorkspace {
     pub(crate) fr: Matrix,
     /// `n × c` row-normalized embedding `F̃`.
     pub(crate) f_tilde: Matrix,
-    /// `n × c` next-iterate scratch (sparse GPI inner loop).
-    pub(crate) f_next: Matrix,
-    /// GPI inner-loop buffers (dense path).
+    /// GPI inner-loop buffers.
     pub(crate) gpi: GpiWorkspace,
     /// Block-Lanczos state: the Ritz subspace carried across embedding
     /// sweeps (warm starts) plus its grow-only scratch.
@@ -69,14 +65,12 @@ impl SolverWorkspace {
     /// An empty workspace; every buffer is sized on first use.
     pub fn new() -> Self {
         SolverWorkspace {
-            a: Matrix::zeros(0, 0),
             lf: Matrix::zeros(0, 0),
             cc: Matrix::zeros(0, 0),
             y_eff: Matrix::zeros(0, 0),
             b: Matrix::zeros(0, 0),
             fr: Matrix::zeros(0, 0),
             f_tilde: Matrix::zeros(0, 0),
-            f_next: Matrix::zeros(0, 0),
             gpi: GpiWorkspace::new(),
             eig: BlanczosWorkspace::new(),
             svd_r: SvdScratch::new(),
@@ -88,19 +82,16 @@ impl SolverWorkspace {
         }
     }
 
-    /// Sizes the `n × c` (and, when `dense_a` is set, `n × n`) buffers.
-    /// Reallocates only when shapes change.
-    pub(crate) fn ensure(&mut self, n: usize, c: usize, dense_a: bool) {
-        if dense_a {
-            ensure_shape(&mut self.a, n, n);
-        }
+    /// Sizes the `n × c` buffers. Reallocates only when shapes change.
+    /// No buffer is `n × n`: the dense path's fused Laplacian belongs to
+    /// its operator ([`crate::DenseFused`]).
+    pub(crate) fn ensure(&mut self, n: usize, c: usize) {
         ensure_shape(&mut self.lf, n, c);
         ensure_shape(&mut self.cc, c, c);
         ensure_shape(&mut self.y_eff, n, c);
         ensure_shape(&mut self.b, n, c);
         ensure_shape(&mut self.fr, n, c);
         ensure_shape(&mut self.f_tilde, n, c);
-        ensure_shape(&mut self.f_next, n, c);
     }
 }
 
@@ -117,15 +108,13 @@ mod tests {
     #[test]
     fn ensure_is_idempotent_and_shape_stable() {
         let mut ws = SolverWorkspace::new();
-        ws.ensure(10, 3, true);
-        assert_eq!(ws.a.shape(), (10, 10));
+        ws.ensure(10, 3);
         assert_eq!(ws.lf.shape(), (10, 3));
         let ptr = ws.lf.as_slice().as_ptr();
-        ws.ensure(10, 3, true);
+        ws.ensure(10, 3);
         assert_eq!(ws.lf.as_slice().as_ptr(), ptr, "ensure with same shape must not reallocate");
         // Shape change reallocates.
-        ws.ensure(12, 3, false);
+        ws.ensure(12, 3);
         assert_eq!(ws.lf.shape(), (12, 3));
-        assert_eq!(ws.a.shape(), (10, 10), "dense_a=false leaves A untouched");
     }
 }

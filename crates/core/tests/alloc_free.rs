@@ -1,21 +1,22 @@
 //! Counting-allocator proofs about the solver's memory behavior, on the
 //! shared [`umsc_rt::alloc_track`] instrumentation:
 //!
-//! 1. warm `one_step_solve` sweeps are **allocation-free** (dense path,
-//!    both rotation discretizations);
-//! 2. warm `one_step_solve_sparse` sweeps are allocation-free too — the
-//!    fused [`WeightedSum`] operator included;
-//! 3. the sparse path's **peak live bytes** beat the dense path's by a
-//!    wide margin on a k-NN graph, and in particular never reach one
-//!    `n × n` dense matrix — the memory claim of the matrix-free design.
+//! 1. warm `one_step_solve` sweeps are **allocation-free** on every fused
+//!    operator: dense (both rotation discretizations), sparse CSR and
+//!    anchor — the operators' internal scratch included;
+//! 2. the sparse path's **peak live bytes** beat the dense path's by a
+//!    wide margin on a k-NN graph, and neither the sparse nor the anchor
+//!    fit ever reaches one `n × n` dense matrix — the memory claim of the
+//!    matrix-free design.
 //!
 //! Threads are pinned to one (`UMSC_THREADS=1`) because the counters are
 //! thread-local (see the module docs of `alloc_track` for why) and worker
 //! threads would both allocate stacks and hide their traffic.
 
 use umsc_core::{
-    build_view_laplacians, build_view_laplacians_sparse, sparse_fused_operator, Discretization,
-    SolverState, SolverWorkspace, Umsc, UmscConfig,
+    anchor_fused_operator, build_view_laplacians, build_view_laplacians_sparse, sparse_fused_operator,
+    AnchorUmsc, AnchorUmscConfig, DenseFused, Discretization, FusedOperator, SolverWorkspace, Umsc,
+    UmscConfig,
 };
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
 use umsc_linalg::{blanczos_smallest_ws, BlanczosConfig, BlanczosWorkspace, Matrix};
@@ -26,6 +27,24 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn gmm(per: usize, seed: u64) -> umsc_data::MultiViewDataset {
     MultiViewGmm::new("alloc", 3, per, vec![ViewSpec::clean(5), ViewSpec::clean(6)]).generate(seed)
+}
+
+/// Warm-starts, runs two sizing sweeps, then counts the heap traffic of
+/// three more.
+fn warm_sweep_allocations<O: FusedOperator>(model: &Umsc, op: &mut O) -> u64 {
+    let mut ws = SolverWorkspace::new();
+    let mut st = model.init_solver_state(op, &mut ws).unwrap();
+    // Warm-up: the first sweeps size every buffer (including the two SVD
+    // scratches, which see their final shapes mid-iteration).
+    for _ in 0..2 {
+        model.one_step_solve(op, &mut st, &mut ws).unwrap();
+    }
+    measure(|| {
+        for _ in 0..3 {
+            model.one_step_solve(op, &mut st, &mut ws).unwrap();
+        }
+    })
+    .allocations
 }
 
 #[test]
@@ -39,62 +58,32 @@ fn one_step_solve_is_allocation_free_once_warm() {
         let cfg = UmscConfig::new(3).with_discretization(discretization.clone());
         let model = Umsc::new(cfg);
         let laplacians = build_view_laplacians(&data, &model.config().graph_config()).unwrap();
-
-        let mut st = model.init_solver_state(&laplacians).unwrap();
-        let mut ws = SolverWorkspace::new();
-        // Warm-up: the first sweeps size every buffer (including the two
-        // SVD scratches, which see their final shapes mid-iteration).
-        for _ in 0..2 {
-            model.one_step_solve(&laplacians, &mut st, &mut ws).unwrap();
-        }
-
-        let stats = measure(|| {
-            for _ in 0..3 {
-                model.one_step_solve(&laplacians, &mut st, &mut ws).unwrap();
-            }
-        });
-        assert_eq!(
-            stats.allocations, 0,
-            "{discretization:?}: warm one_step_solve touched the heap {} times",
-            stats.allocations
-        );
+        let allocations = warm_sweep_allocations(&model, &mut DenseFused::new(&laplacians));
+        assert_eq!(allocations, 0, "{discretization:?}: warm dense sweeps touched the heap {allocations} times");
     }
 }
 
 #[test]
-fn one_step_solve_sparse_is_allocation_free_once_warm() {
+fn sparse_sweeps_are_allocation_free_once_warm() {
     std::env::set_var("UMSC_THREADS", "1");
 
     let data = gmm(20, 8);
     let model = Umsc::new(UmscConfig::new(3));
     let laplacians = build_view_laplacians_sparse(&data, &model.config().graph_config()).unwrap();
+    let allocations = warm_sweep_allocations(&model, &mut sparse_fused_operator(&laplacians));
+    assert_eq!(allocations, 0, "warm sparse sweeps touched the heap {allocations} times");
+}
 
-    // Seed the solver state from one full sparse fit — the state layout is
-    // exactly what the sweep advances.
-    let res = model.fit_laplacians_sparse(&laplacians).unwrap();
-    let mut st = SolverState {
-        f: res.embedding,
-        r: res.rotation,
-        y: res.indicator,
-        labels: res.labels,
-        weights: res.view_weights,
-    };
-    let mut fused = sparse_fused_operator(&laplacians, &st.weights);
-    let mut ws = SolverWorkspace::new();
-    for _ in 0..2 {
-        model.one_step_solve_sparse(&laplacians, &mut fused, &mut st, &mut ws).unwrap();
-    }
+#[test]
+fn anchor_sweeps_are_allocation_free_once_warm() {
+    std::env::set_var("UMSC_THREADS", "1");
 
-    let stats = measure(|| {
-        for _ in 0..3 {
-            model.one_step_solve_sparse(&laplacians, &mut fused, &mut st, &mut ws).unwrap();
-        }
-    });
-    assert_eq!(
-        stats.allocations, 0,
-        "warm one_step_solve_sparse touched the heap {} times",
-        stats.allocations
-    );
+    let data = gmm(20, 11);
+    let factors: Vec<Matrix> =
+        data.views.iter().map(|x| umsc_graph::anchor_view_factor(x, 15, 4, 3).0).collect();
+    let model = Umsc::new(UmscConfig::new(3));
+    let allocations = warm_sweep_allocations(&model, &mut anchor_fused_operator(&factors));
+    assert_eq!(allocations, 0, "warm anchor sweeps touched the heap {allocations} times");
 }
 
 #[test]
@@ -160,5 +149,24 @@ fn sparse_path_peak_memory_beats_dense_by_4x() {
         dense_peak > 4 * sparse_peak,
         "dense/sparse peak ratio {:.2} ≤ 4 ({dense_peak} B vs {sparse_peak} B)",
         dense_peak as f64 / sparse_peak as f64
+    );
+}
+
+#[test]
+fn anchor_fit_peak_memory_stays_below_one_dense_matrix() {
+    std::env::set_var("UMSC_THREADS", "1");
+
+    let data = gmm(80, 12);
+    let n = data.n();
+    let factors: Vec<Matrix> =
+        data.views.iter().map(|x| umsc_graph::anchor_view_factor(x, 30, 5, 1).0).collect();
+    let model = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(30));
+    let mut res = None;
+    let peak = measure(|| res = Some(model.fit_factors(&factors))).peak_bytes;
+    res.unwrap().unwrap();
+    let dense_matrix_bytes = (n * n * std::mem::size_of::<f64>()) as u64;
+    assert!(
+        peak < dense_matrix_bytes,
+        "anchor fit peaked at {peak} B ≥ one {n}x{n} matrix ({dense_matrix_bytes} B)"
     );
 }

@@ -1,0 +1,66 @@
+//! One graph, three operators: the dense, sparse and anchor paths share
+//! one sweep engine, so fitting the same anchor graph through each must
+//! give the same partition and the same objective history.
+//!
+//! The graph is an anchor graph with factors `B_v`, fitted as
+//! * dense Laplacians `I − B_v B_vᵀ` ([`Umsc::fit_laplacians`]),
+//! * the same Laplacians in CSR form ([`Umsc::fit_laplacians_sparse`]),
+//! * the factors themselves ([`AnchorUmsc::fit_factors`]),
+//!
+//! with the dense/sparse GPI cap set to the anchor path's. The operators
+//! differ in their GPI shift η (Gershgorin, `2Σw + 1e-9`, `2Σw`) and
+//! cold eigensolver (dense QL against Lanczos), so the histories agree to
+//! a stated relative tolerance, not bitwise.
+
+use umsc_core::anchor::ANCHOR_GPI_MAX_ITER;
+use umsc_core::{AnchorUmsc, AnchorUmscConfig, Umsc, UmscConfig, UmscResult};
+use umsc_data::synth::{MultiViewGmm, ViewSpec};
+use umsc_graph::CsrMatrix;
+use umsc_linalg::Matrix;
+
+/// Relative tolerance on every history entry's objective.
+const HISTORY_RTOL: f64 = 1e-6;
+
+fn assert_same_fit(name: &str, got: &UmscResult, reference: &UmscResult) {
+    assert_eq!(got.labels, reference.labels, "{name}: labels differ from the anchor path");
+    assert_eq!(got.history.len(), reference.history.len(), "{name}: sweep counts differ");
+    for (i, (g, r)) in got.history.iter().zip(reference.history.iter()).enumerate() {
+        let rel = (g.objective - r.objective).abs() / r.objective.abs().max(1e-12);
+        assert!(rel < HISTORY_RTOL, "{name}: sweep {i} objective {} vs {} (rel {rel:e})", g.objective, r.objective);
+    }
+}
+
+#[test]
+fn dense_sparse_and_anchor_fits_of_one_graph_agree() {
+    let mut gen = MultiViewGmm::new("paths", 3, 40, vec![ViewSpec::clean(6), ViewSpec::clean(8)]);
+    gen.separation = 6.0;
+    let data = gen.generate(3);
+    let n = data.n();
+    let factors: Vec<Matrix> = data
+        .views
+        .iter()
+        .enumerate()
+        .map(|(v, x)| umsc_graph::anchor_view_factor(x, 30, 5, (v as u64) << 32).0)
+        .collect();
+    let dense: Vec<Matrix> = factors
+        .iter()
+        .map(|b| {
+            let mut l = b.matmul_transpose_b(b).scale(-1.0);
+            for i in 0..n {
+                l[(i, i)] += 1.0;
+            }
+            l.symmetrize_mut();
+            l
+        })
+        .collect();
+    let sparse: Vec<CsrMatrix> = dense.iter().map(|l| CsrMatrix::from_dense(l, 0.0)).collect();
+
+    let anchor = AnchorUmsc::new(AnchorUmscConfig::new(3)).fit_factors(&factors).unwrap();
+    let cfg = UmscConfig { gpi_max_iter: ANCHOR_GPI_MAX_ITER, ..UmscConfig::new(3) };
+    let via_dense = Umsc::new(cfg.clone()).fit_laplacians(&dense).unwrap();
+    let via_sparse = Umsc::new(cfg).fit_laplacians_sparse(&sparse).unwrap();
+
+    assert!(anchor.converged && anchor.history.len() >= 2);
+    assert_same_fit("dense", &via_dense, &anchor);
+    assert_same_fit("sparse", &via_sparse, &anchor);
+}

@@ -109,8 +109,10 @@ pub fn anchor_weights(x: &Matrix, anchors: &Matrix, k: usize) -> Matrix {
 /// `I − W` (unit row sums), so the spectral embedding is the top left
 /// singular subspace of `B`.
 ///
-/// Columns whose anchor attracted no weight are zero (harmless).
-pub fn normalized_factor(z: &Matrix) -> Matrix {
+/// Also returns the column scales `Λ^{-1/2}`, which out-of-sample rows
+/// must reuse. Columns whose anchor attracted no weight are zero
+/// (harmless), and so is their scale.
+pub fn normalized_factor(z: &Matrix) -> (Matrix, Vec<f64>) {
     let (n, m) = z.shape();
     let mut col_sums = vec![0.0f64; m];
     for i in 0..n {
@@ -126,17 +128,18 @@ pub fn normalized_factor(z: &Matrix) -> Matrix {
             *v *= inv_sqrt[j];
         }
     }
-    b
+    (b, inv_sqrt)
 }
 
 /// Convenience: distances → anchors → weights → normalized factor for one
-/// feature view. Returns `(B, anchors)`.
-pub fn anchor_view_factor(x: &Matrix, m: usize, k: usize, seed: u64) -> (Matrix, Matrix) {
+/// feature view. Returns `(B, anchors, Λ^{-1/2})`.
+pub fn anchor_view_factor(x: &Matrix, m: usize, k: usize, seed: u64) -> (Matrix, Matrix, Vec<f64>) {
     let m = m.min(x.rows()).max(1);
     let k = k.min(m).max(1);
     let anchors = select_anchors(x, m, seed);
     let z = anchor_weights(x, &anchors, k);
-    (normalized_factor(&z), anchors)
+    let (b, inv_sqrt) = normalized_factor(&z);
+    (b, anchors, inv_sqrt)
 }
 
 /// Tiny deterministic RNG (kept dependency-free like the Lanczos one).
@@ -211,7 +214,7 @@ mod tests {
     #[test]
     fn anchor_affinity_has_unit_row_sums() {
         let (x, _) = blobs(15);
-        let (b, _) = anchor_view_factor(&x, 9, 3, 0);
+        let (b, _, _) = anchor_view_factor(&x, 9, 3, 0);
         // W = BBᵀ rows sum to 1.
         let w = b.matmul_transpose_b(&b);
         for i in 0..x.rows() {
@@ -226,7 +229,7 @@ mod tests {
     #[test]
     fn anchor_embedding_separates_blobs() {
         let (x, labels) = blobs(25);
-        let (b, _) = anchor_view_factor(&x, 12, 4, 0);
+        let (b, _, _) = anchor_view_factor(&x, 12, 4, 0);
         // Embedding = top-3 left singular vectors of B.
         let svd = umsc_linalg::Svd::compute(&b).unwrap();
         let f = svd.u.columns(0, 3);
@@ -257,7 +260,7 @@ mod tests {
     #[test]
     fn degenerate_duplicates() {
         let x = Matrix::from_rows(&vec![vec![1.0, 1.0]; 10]);
-        let (b, _) = anchor_view_factor(&x, 4, 2, 0);
+        let (b, _, _) = anchor_view_factor(&x, 4, 2, 0);
         assert!(b.as_slice().iter().all(|v| v.is_finite()));
     }
 

@@ -39,7 +39,7 @@ fn z_rows_are_sparse_distributions() {
 #[test]
 fn induced_affinity_row_stochastic() {
     check(&cfg(), |rng| (points(rng, 20, 2), rng.gen_range(4..9)), |(x, m)| {
-        let (b, _) = anchor_view_factor(x, *m, 3.min(*m), 0);
+        let (b, _, _) = anchor_view_factor(x, *m, 3.min(*m), 0);
         let w = b.matmul_transpose_b(&b);
         for i in 0..20 {
             let s: f64 = w.row(i).iter().sum();
@@ -61,8 +61,8 @@ fn deterministic_in_seed() {
             let a1 = select_anchors(x, 5, *seed);
             let a2 = select_anchors(x, 5, *seed);
             ensure!(a1.approx_eq(&a2, 0.0));
-            let z1 = normalized_factor(&anchor_weights(x, &a1, 2));
-            let z2 = normalized_factor(&anchor_weights(x, &a2, 2));
+            let (z1, _) = normalized_factor(&anchor_weights(x, &a1, 2));
+            let (z2, _) = normalized_factor(&anchor_weights(x, &a2, 2));
             ensure!(z1.approx_eq(&z2, 0.0));
             Ok(())
         },

@@ -7,11 +7,11 @@ use crate::{gate_threads, new_scratch, LinOp, Scratch};
 /// form of an anchor-graph similarity `B Bᵀ`.
 ///
 /// Applies cost `O(n·m)` instead of `O(n²)`: `t = Zᵀx` (each `t[j]`
-/// summed over ascending rows, partitioned by output index so the
-/// result is thread-count invariant), an order-free diagonal scale,
-/// then `y = Z t` with the dense row kernel. The intermediate `t`
-/// (length `m`, or `m × k` for blocks) lives in an internal grow-only
-/// scratch panel — allocation-free once warm.
+/// summed over ascending rows while each worker streams `Z` over its own
+/// block of output indices, so the result is thread-count invariant), an
+/// order-free diagonal scale, then `y = Z t` with the dense row kernel.
+/// The intermediate `t` (length `m`, or `m × k` for blocks) lives in an
+/// internal grow-only scratch panel — allocation-free once warm.
 #[derive(Debug)]
 pub struct LowRankAnchor<'a> {
     n: usize,
@@ -46,6 +46,55 @@ impl<'a> LowRankAnchor<'a> {
         self.m
     }
 
+    /// `tr(Xᵀ Z Λ Zᵀ X)` for a row-major `n × ncols` block `X`, i.e.
+    /// `‖Λ^{1/2} Zᵀ X‖²_F`: the first half of an apply, so half its cost.
+    /// The anchor solver's per-view trace `c − ‖B_vᵀF‖²` is built on it.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != n * ncols`.
+    pub fn quad_trace(&self, x: &[f64], ncols: usize) -> f64 {
+        let (n, m) = (self.n, self.m);
+        assert_eq!(x.len(), n * ncols, "LowRankAnchor::quad_trace: x length mismatch");
+        if n == 0 || m == 0 || ncols == 0 {
+            return 0.0;
+        }
+        let mut scratch = self.scratch.borrow_mut();
+        let t = scratch.ensure(m * ncols);
+        self.transpose_apply(gate_threads(2 * n * m * ncols), x, ncols, t);
+        t.chunks_exact(ncols)
+            .enumerate()
+            .map(|(j, row)| self.lambda.map_or(1.0, |l| l[j]) * row.iter().map(|v| v * v).sum::<f64>())
+            .sum()
+    }
+
+    /// `T = Zᵀ X` (`m × ncols`) into `t`. Each worker owns a contiguous
+    /// block of T rows and streams `Z` row by row (`i` outermost, as in
+    /// `Matrix::matmul_transpose_a`), so every T element is still summed
+    /// over ascending `i` with the zero-skip: the value is independent of
+    /// the partition.
+    fn transpose_apply(&self, threads: usize, x: &[f64], ncols: usize, t: &mut [f64]) {
+        let (n, m) = (self.n, self.m);
+        let rows_per = m.div_ceil(threads.max(1));
+        umsc_rt::par::parallel_chunks_mut_with(threads, t, rows_per * ncols, |ci, block| {
+            block.fill(0.0);
+            let jlo = ci * rows_per;
+            let rows_here = block.len() / ncols;
+            for i in 0..n {
+                let zrow = &self.z[i * m + jlo..i * m + jlo + rows_here];
+                let xrow = &x[i * ncols..(i + 1) * ncols];
+                for (local, &a) in zrow.iter().enumerate() {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    let trow = &mut block[local * ncols..(local + 1) * ncols];
+                    for (o, &b) in trow.iter_mut().zip(xrow.iter()) {
+                        *o += a * b;
+                    }
+                }
+            }
+        });
+    }
+
     /// [`LinOp::apply_block_into`] with an explicit thread count
     /// (`threads <= 1` runs inline; no work-size gate). The vector apply
     /// is the `ncols == 1` case. Exposed for the bitwise-identity tests.
@@ -62,23 +111,7 @@ impl<'a> LowRankAnchor<'a> {
         }
         let mut scratch = self.scratch.borrow_mut();
         let t = scratch.ensure(m * ncols);
-
-        // T = Zᵀ X (m × ncols): one T-row per work unit; T[j] is summed
-        // over ascending rows i with the usual zero-skip, so the value
-        // is independent of the partition.
-        umsc_rt::par::parallel_chunks_mut_with(threads, t, ncols, |j, trow| {
-            trow.fill(0.0);
-            for i in 0..n {
-                let a = self.z[i * m + j];
-                if a == 0.0 {
-                    continue;
-                }
-                let xrow = &x[i * ncols..(i + 1) * ncols];
-                for (o, &b) in trow.iter_mut().zip(xrow.iter()) {
-                    *o += a * b;
-                }
-            }
-        });
+        self.transpose_apply(threads, x, ncols, t);
 
         // T ← Λ T: order-free per element.
         if let Some(lambda) = self.lambda {
@@ -186,6 +219,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn quad_trace_matches_apply() {
+        let (n, m, k) = (37, 6, 3);
+        let z = random(n * m, 5);
+        let lambda = random(m, 6);
+        let x = random(n * k, 7);
+        let op = LowRankAnchor::new(n, m, &z).with_scale(&lambda);
+        let mut y = vec![0.0; n * k];
+        op.apply_block_into(&x, k, &mut y);
+        let expect: f64 = x.iter().zip(y.iter()).map(|(a, b)| a * b).sum();
+        let got = op.quad_trace(&x, k);
+        assert!((got - expect).abs() < 1e-12 * (1.0 + expect.abs()), "{got} vs {expect}");
     }
 
     #[test]
