@@ -3,10 +3,7 @@
 //! centers of every spectral method in the workspace.
 
 use std::hint::black_box;
-use umsc_linalg::{
-    blanczos_smallest_ws, jacobi_eigen, lanczos_smallest, BlanczosConfig, BlanczosWorkspace,
-    LanczosConfig, Matrix, SymEigen,
-};
+use umsc_linalg::{jacobi_eigen, lanczos_smallest, LanczosConfig, Matrix, SymEigen};
 use umsc_rt::bench::{smoke, Bench};
 
 fn laplacian_like(n: usize) -> Matrix {
@@ -44,21 +41,6 @@ fn bench_partial_eigen(samples: usize, sizes: &[usize], dense_cap: usize) {
         let a = laplacian_like(n);
         g.run(&format!("lanczos/{n}"), || {
             lanczos_smallest(black_box(&a), 8, &LanczosConfig::default()).unwrap()
-        });
-        // Block Lanczos cold (fresh workspace each sample, random start
-        // block) vs warm (the previous sample's Ritz subspace carried —
-        // the steady state of the solver's re-weighting sweeps).
-        g.run(&format!("blanczos_cold/{n}"), || {
-            let mut ws = BlanczosWorkspace::new();
-            blanczos_smallest_ws(black_box(&a), 8, &BlanczosConfig::default(), &mut ws).unwrap();
-            ws.values()[0]
-        });
-        let mut warm_ws = BlanczosWorkspace::new();
-        blanczos_smallest_ws(&a, 8, &BlanczosConfig::default(), &mut warm_ws).unwrap();
-        g.run(&format!("blanczos_warm/{n}"), || {
-            blanczos_smallest_ws(black_box(&a), 8, &BlanczosConfig::default(), &mut warm_ws)
-                .unwrap();
-            warm_ws.values()[0]
         });
         if n <= dense_cap {
             g.run(&format!("dense_then_slice/{n}"), || {

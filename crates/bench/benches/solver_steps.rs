@@ -1,8 +1,6 @@
 //! Microbench: per-block cost of the unified solver — the ablation bench
 //! for the design choices DESIGN.md calls out (warm-start eigensolve vs
-//! GPI inner iteration vs Procrustes vs Y-step). The eigensolve dominates;
-//! everything downstream is cheap, which is why the one-stage loop costs
-//! little more than a single two-stage embedding.
+//! GPI inner iteration vs Procrustes vs Y-step).
 //!
 //! Also measures the threaded vs sequential per-view Laplacian build and
 //! the cache-blocked GEMM against the naive row kernel (the speedup lines
@@ -19,7 +17,7 @@ use umsc_core::pipeline::{
 };
 use umsc_core::{gpi_stiefel, init_rotation};
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
-use umsc_linalg::{blanczos_smallest_ws, procrustes, BlanczosConfig, BlanczosWorkspace, Matrix};
+use umsc_linalg::{lanczos_smallest, procrustes, LanczosConfig, Matrix};
 use umsc_rt::bench::{smoke, Bench};
 
 fn setup(per_cluster: usize) -> (Vec<Matrix>, Matrix, Matrix, Matrix, umsc_data::MultiViewDataset) {
@@ -42,52 +40,22 @@ fn setup(per_cluster: usize) -> (Vec<Matrix>, Matrix, Matrix, Matrix, umsc_data:
     (laplacians, fused, f, y, data)
 }
 
-fn bench_solver_blocks(samples: usize, per_cluster: usize, assert_warm_speedup: bool) {
+/// The sweep engine's eigensolve: Lanczos with its `2c + 20` first
+/// convergence check.
+fn engine_lanczos(fused: &Matrix, c: usize) -> Matrix {
+    let cfg = LanczosConfig { initial_subspace: 2 * c + 20, ..Default::default() };
+    lanczos_smallest(fused, c, &cfg).unwrap().1
+}
+
+fn bench_solver_blocks(samples: usize, per_cluster: usize) {
     let (laplacians, fused, f, y, data) = setup(per_cluster);
     let n = fused.rows();
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let mut g = Bench::new(&format!("solver_steps_n{n}_c5")).sample_size(samples);
 
-    let cold =
-        g.run("embedding_eigensolve", || spectral_embedding(black_box(&fused), 5, 0).unwrap());
-
-    // The tentpole comparison: cold block Lanczos (fresh workspace, random
-    // start block every sample) vs warm (the carried Ritz subspace — the
-    // per-sweep cost once the solver's re-weighting loop is near
-    // equilibrium, where consecutive fused operators differ only by a
-    // small weight drift).
-    let bcfg = BlanczosConfig::default();
-    g.run("embedding_eigensolve_cold_blanczos", || {
-        let mut ws = BlanczosWorkspace::new();
-        blanczos_smallest_ws(black_box(&fused), 5, &bcfg, &mut ws).unwrap();
-        ws.values()[0]
-    });
-    let mut warm_ws = BlanczosWorkspace::new();
-    let mut drifted = fused.clone();
-    drifted.axpy(0.05, &laplacians[0]);
-    blanczos_smallest_ws(&drifted, 5, &bcfg, &mut warm_ws).unwrap();
-    let warm = g.run("embedding_eigensolve_warm", || {
-        blanczos_smallest_ws(black_box(&fused), 5, &bcfg, &mut warm_ws).unwrap();
-        warm_ws.values()[0]
-    });
-    println!(
-        "embedding eigensolve warm-start speedup: {:.2}x (cold {:.0}ns, warm {:.0}ns)",
-        cold.median_ns / warm.median_ns,
-        cold.median_ns,
-        warm.median_ns
-    );
-    // Warm sweeps must cost at most half a cold eigensolve. Gated like the
-    // GEMM assertion: only enforced with real parallelism and full-size
-    // problems, so smoke runs and single-core CI still record honest
-    // numbers without flaking.
-    if assert_warm_speedup && cores >= 4 && umsc_rt::par::max_threads() >= 4 {
-        assert!(
-            warm.median_ns <= 0.5 * cold.median_ns,
-            "warm eigensolve {:.0}ns > 0.5x cold {:.0}ns",
-            warm.median_ns,
-            cold.median_ns
-        );
-    }
+    // The dense full-spectrum path the baselines take vs the engine's
+    // Lanczos solve of the same fused Laplacian.
+    g.run("embedding_eigensolve", || spectral_embedding(black_box(&fused), 5, 0).unwrap());
+    g.run("embedding_eigensolve_lanczos", || engine_lanczos(black_box(&fused), 5));
 
     let b_mat = y.matmul_transpose_b(&Matrix::identity(5)).scale(0.01);
     g.run("gpi_f_step_40_inner", || {
@@ -179,29 +147,12 @@ fn count_dispatch_rates(gemm_sizes: &[usize], per_cluster: usize) {
         let b = Matrix::from_fn(n, n, |i, j| ((i * 13 + j * 17) as f64).cos());
         black_box(a.matmul(&b));
     }
-    let (laplacians, fused, f, y, _data) = setup(per_cluster);
+    let (_, fused, f, y, _data) = setup(per_cluster);
     let b_mat = y.matmul_transpose_b(&Matrix::identity(5)).scale(0.01);
     black_box(gpi_stiefel(&fused, &b_mat, &f, 40, 1e-10).unwrap());
     black_box(spectral_embedding(&fused, 5, 0).unwrap());
-
-    // One cold + one warm block eigensolve so the `blanczos.*` counters
-    // land in the snapshot, plus the iteration counts the warm-start
-    // story rests on: the carried subspace must re-converge in strictly
-    // fewer block iterations than the cold solve.
-    let bcfg = BlanczosConfig::default();
-    let mut ws = BlanczosWorkspace::new();
-    let mut drifted = fused.clone();
-    drifted.axpy(0.05, &laplacians[0]);
-    blanczos_smallest_ws(&drifted, 5, &bcfg, &mut ws).unwrap();
-    let cold_iters = ws.last_iters();
-    blanczos_smallest_ws(&fused, 5, &bcfg, &mut ws).unwrap();
-    let warm_iters = ws.last_iters();
-    assert!(
-        warm_iters < cold_iters,
-        "warm blanczos took {warm_iters} block iterations, cold took {cold_iters}"
-    );
-    umsc_rt::bench::record_counter("solver_steps", "blanczos.iters_cold", cold_iters as u64);
-    umsc_rt::bench::record_counter("solver_steps", "blanczos.iters_warm", warm_iters as u64);
+    // The engine's eigensolve, so `lanczos.iters` lands in the snapshot.
+    black_box(engine_lanczos(&fused, 5));
 
     for (name, value) in umsc_obs::counters_snapshot() {
         umsc_rt::bench::record_counter("solver_steps", &name, value);
@@ -211,11 +162,11 @@ fn count_dispatch_rates(gemm_sizes: &[usize], per_cluster: usize) {
 
 fn main() {
     if smoke() {
-        bench_solver_blocks(2, 8, false);
+        bench_solver_blocks(2, 8);
         bench_square_gemm(2, &[48]);
         count_dispatch_rates(&[48], 8);
     } else {
-        bench_solver_blocks(10, 50, true);
+        bench_solver_blocks(10, 50);
         bench_square_gemm(5, &[128, 256, 512]);
         count_dispatch_rates(&[128, 256, 512], 50);
     }

@@ -17,8 +17,9 @@ impl Args {
     /// Parses argv (without the program name).
     ///
     /// Every `--key` must be followed by a value, except the boolean
-    /// switches in [`BOOL_FLAGS`] (e.g. `--verbose`), which take none;
-    /// unknown keys are kept (validation is per-command).
+    /// switches in [`BOOL_FLAGS`] (e.g. `--verbose`), which take none.
+    /// Which keys are valid depends on the subcommand; see
+    /// [`Args::accept_only`].
     pub fn parse(argv: &[String]) -> Result<Args, String> {
         let mut out = Args::default();
         let mut it = argv.iter().peekable();
@@ -64,6 +65,21 @@ impl Args {
         }
     }
 
+    /// Fails, naming every offending key, unless each given option is one
+    /// of `accepted`: a misspelt or retired option is an error, never
+    /// silently ignored.
+    pub fn accept_only(&self, accepted: &[&str]) -> Result<(), String> {
+        let mut unknown: Vec<String> =
+            self.options.keys().filter(|k| !accepted.contains(&k.as_str())).map(|k| format!("--{k}")).collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort();
+        let command = self.command.as_deref().unwrap_or("umsc");
+        let accepted: Vec<String> = accepted.iter().map(|k| format!("--{k}")).collect();
+        let accepted = if accepted.is_empty() { "none".to_string() } else { accepted.join(" ") };
+        Err(format!("{command} does not take {} (accepted: {accepted})", unknown.join(", ")))
+    }
 }
 
 #[cfg(test)]
@@ -100,6 +116,15 @@ mod tests {
     fn bad_parse_reported() {
         let a = Args::parse(&argv(&["x", "--n", "abc"])).unwrap();
         assert!(a.get_parsed::<usize>("n", 0).is_err());
+    }
+
+    #[test]
+    fn options_outside_the_accepted_set_rejected() {
+        let a = Args::parse(&argv(&["info", "--data", "d", "--zeta", "1", "--alpha", "2"])).unwrap();
+        assert!(a.accept_only(&["data"]).unwrap_err().contains("--alpha, --zeta"));
+        assert!(a.accept_only(&["data", "zeta", "alpha"]).is_ok());
+        let m = Args::parse(&argv(&["methods", "--verbose"])).unwrap();
+        assert!(m.accept_only(&[]).unwrap_err().contains("accepted: none"));
     }
 
     #[test]

@@ -4,39 +4,62 @@ use crate::args::Args;
 use std::path::Path;
 use umsc_baselines::standard_suite;
 use umsc_bench::report::TextTable;
-use umsc_core::{
-    AnchorAssigner, AnchorUmsc, AnchorUmscConfig, EigSolver, IterationStats, Metric, Umsc,
-    UmscConfig,
-};
+use umsc_core::{AnchorAssigner, AnchorUmsc, AnchorUmscConfig, IterationStats, Metric, Umsc, UmscConfig};
 use umsc_data::{benchmark, BenchmarkId, MultiViewDataset};
 use umsc_metrics::MetricSuite;
 
-/// Routes a parsed command line to its implementation.
+/// A subcommand's implementation.
+type Command = fn(&Args) -> Result<(), String>;
+
+/// The options `cluster` reads.
+const CLUSTER_OPTIONS: &[&str] = &[
+    "data",
+    "clusters",
+    "method",
+    "lambda",
+    "metric",
+    "anchors",
+    "representation",
+    "seed",
+    "out",
+    "save-model",
+    "trace",
+    "verbose",
+];
+
+/// Routes a parsed command line to its implementation, after checking
+/// that every option given is one the subcommand reads.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
-    match args.command.as_deref() {
-        Some("generate") => generate(&args),
-        Some("info") => info(&args),
-        Some("cluster") => cluster(&args),
-        Some("assign") => assign(&args),
-        Some("evaluate") => evaluate(&args),
-        Some("trace-report") => trace_report(&args),
-        Some("methods") => {
-            for m in standard_suite(2) {
-                println!("{}", m.name());
-            }
-            println!("anchor-umsc");
-            Ok(())
+    let (run, accepted): (Command, &[&str]) = match args.command.as_deref() {
+        Some("generate") => (generate, &["benchmark", "seed", "out"]),
+        Some("info") => (info, &["data"]),
+        Some("cluster") => (cluster, CLUSTER_OPTIONS),
+        Some("assign") => (assign, &["model", "data", "out"]),
+        Some("evaluate") => (evaluate, &["pred", "truth"]),
+        Some("trace-report") => (trace_report, &["trace"]),
+        Some("methods") => (methods, &[]),
+        Some(other) => {
+            return Err(format!(
+                "unknown command {other:?}; try: generate, info, cluster, assign, evaluate, trace-report, methods"
+            ))
         }
-        Some(other) => Err(format!(
-            "unknown command {other:?}; try: generate, info, cluster, assign, evaluate, trace-report, methods"
-        )),
         None => {
             println!("usage: umsc <generate|info|cluster|assign|evaluate|trace-report|methods> [--options]");
             println!("see crate docs / README for details");
-            Ok(())
+            return Ok(());
         }
+    };
+    args.accept_only(accepted)?;
+    run(&args)
+}
+
+fn methods(_args: &Args) -> Result<(), String> {
+    for m in standard_suite(2) {
+        println!("{}", m.name());
     }
+    println!("anchor-umsc");
+    Ok(())
 }
 
 fn generate(args: &Args) -> Result<(), String> {
@@ -91,23 +114,12 @@ fn cluster(args: &Args) -> Result<(), String> {
         "cosine" => Metric::Cosine,
         other => return Err(format!("unknown --metric {other:?} (euclidean|cosine)")),
     };
-    // Eigensolver policy for the warm-start sweeps.
-    let eig = match args.get("eig").unwrap_or("auto") {
-        "auto" => EigSolver::Auto,
-        "lanczos" => EigSolver::Lanczos,
-        "blanczos" => EigSolver::Blanczos,
-        other => return Err(format!("unknown --eig {other:?} (auto|lanczos|blanczos)")),
-    };
 
     let t0 = std::time::Instant::now();
     let (labels, weights, history) = if method_name == "anchor-umsc" {
         let anchors: usize = args.get_parsed("anchors", 100)?;
         let lambda: f64 = args.get_parsed("lambda", 1.0)?;
-        let cfg = AnchorUmscConfig::new(c)
-            .with_anchors(anchors)
-            .with_lambda(lambda)
-            .with_seed(seed)
-            .with_eig(eig);
+        let cfg = AnchorUmscConfig::new(c).with_anchors(anchors).with_lambda(lambda).with_seed(seed);
         let model = AnchorUmsc::new(cfg).fit_model(&data).map_err(|e| e.to_string())?;
         if let Some(path) = args.get("save-model") {
             model.assigner.save(Path::new(path)).map_err(|e| e.to_string())?;
@@ -117,11 +129,7 @@ fn cluster(args: &Args) -> Result<(), String> {
         (res.labels, Some(res.view_weights), Some(res.history))
     } else if method_name == "umsc" {
         let lambda: f64 = args.get_parsed("lambda", 1.0)?;
-        let cfg = UmscConfig::new(c)
-            .with_lambda(lambda)
-            .with_metric(metric)
-            .with_seed(seed)
-            .with_eig(eig);
+        let cfg = UmscConfig::new(c).with_lambda(lambda).with_metric(metric).with_seed(seed);
         let model = Umsc::new(cfg);
         // `auto` keys the operator representation off the graph kind: the
         // default k-NN graph runs the matrix-free CSR path, dense/CAN
@@ -357,34 +365,7 @@ fn trace_report(args: &Args) -> Result<(), String> {
         println!("\ncounters:");
         print!("{}", table.render());
     }
-    print_eigensolver_summary(&counters);
     Ok(())
-}
-
-/// Derived view over the `blanczos.*` counters: per-solve block-iteration
-/// and restart rates, so a trace answers "did the warm start pay off?"
-/// without the reader dividing counters by hand. A trace from a run that
-/// never touched the block solver (e.g. `--eig lanczos`) has no
-/// `blanczos.solves` counter and prints nothing.
-fn print_eigensolver_summary(counters: &std::collections::BTreeMap<String, u64>) {
-    let solves = counters.get("blanczos.solves").copied().unwrap_or(0);
-    if solves == 0 {
-        return;
-    }
-    let per_solve = |key: &str| {
-        let total = counters.get(key).copied().unwrap_or(0);
-        (total, total as f64 / solves as f64)
-    };
-    let (iters, iters_rate) = per_solve("blanczos.iters");
-    let (restarts, restarts_rate) = per_solve("blanczos.restarts");
-    let (deflated, deflated_rate) = per_solve("blanczos.deflated");
-    let mut table = TextTable::new(&["metric", "total", "per solve"]);
-    table.row(vec!["solves".into(), solves.to_string(), "-".into()]);
-    table.row(vec!["block iterations".into(), iters.to_string(), format!("{iters_rate:.2}")]);
-    table.row(vec!["restarts".into(), restarts.to_string(), format!("{restarts_rate:.2}")]);
-    table.row(vec!["deflated columns".into(), deflated.to_string(), format!("{deflated_rate:.2}")]);
-    println!("\nblock eigensolver ({solves} solves):");
-    print!("{}", table.render());
 }
 
 fn assign(args: &Args) -> Result<(), String> {
@@ -524,7 +505,7 @@ mod tests {
     }
 
     #[test]
-    fn eig_flag_accepted_and_validated() {
+    fn options_a_subcommand_does_not_read_rejected() {
         let dir = tmp("eig");
         let _ = std::fs::remove_dir_all(&dir);
         let data = umsc_data::synth::MultiViewGmm::new(
@@ -535,34 +516,23 @@ mod tests {
         )
         .generate(4);
         umsc_data::io::save_csv(&data, &dir).unwrap();
-        for (eig, repr) in [("auto", "auto"), ("lanczos", "dense"), ("blanczos", "sparse")] {
-            dispatch(&argv(&[
-                "cluster",
-                "--data",
-                dir.to_str().unwrap(),
-                "--clusters",
-                "2",
-                "--eig",
-                eig,
-                "--representation",
-                repr,
-            ]))
-            .unwrap();
-        }
-        for bad in ["powermethod", "jacobi"] {
-            let err = dispatch(&argv(&["cluster", "--data", dir.to_str().unwrap(), "--eig", bad]))
-                .unwrap_err();
-            assert!(err.contains("--eig"), "got {err:?}");
-            assert!(err.contains("auto|lanczos|blanczos)"), "got {err:?}");
-        }
+        let d = dir.to_str().unwrap();
+        // The eigensolver is no longer a choice: the retired flag fails
+        // loudly instead of being ignored.
+        let err = dispatch(&argv(&["cluster", "--data", d, "--clusters", "2", "--eig", "lanczos"])).unwrap_err();
+        assert!(err.contains("--eig"), "got {err:?}");
+        // A valid option of one subcommand is unknown to another.
+        let err = dispatch(&argv(&["info", "--data", d, "--clusters", "2"])).unwrap_err();
+        assert!(err.contains("--clusters"), "got {err:?}");
+        assert!(dispatch(&argv(&["methods", "--seed", "1"])).is_err());
+        dispatch(&argv(&["info", "--data", d])).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// ISSUE acceptance criterion: tracing is observation only — a
-    /// `--eig blanczos` run must write bitwise-identical labels whether
-    /// the trace sink is attached or not.
+    /// Tracing is observation only: a run must write bitwise-identical
+    /// labels whether the trace sink is attached or not.
     #[test]
-    fn blanczos_labels_identical_with_and_without_tracing() {
+    fn labels_identical_with_and_without_tracing() {
         let _trace = trace_lock();
         let dir = tmp("eigtrace");
         let _ = std::fs::remove_dir_all(&dir);
@@ -582,8 +552,6 @@ mod tests {
             dir.to_str().unwrap(),
             "--clusters",
             "3",
-            "--eig",
-            "blanczos",
             "--out",
             plain.to_str().unwrap(),
         ]))
@@ -597,8 +565,6 @@ mod tests {
             dir.to_str().unwrap(),
             "--clusters",
             "3",
-            "--eig",
-            "blanczos",
             "--out",
             traced.to_str().unwrap(),
             "--verbose",
@@ -613,12 +579,12 @@ mod tests {
         let a = std::fs::read(&plain).unwrap();
         let b = std::fs::read(&traced).unwrap();
         assert!(!a.is_empty());
-        assert_eq!(a, b, "tracing changed --eig blanczos label output");
+        assert_eq!(a, b, "tracing changed the label output");
 
-        // The traced run must have recorded block-solver activity, and
-        // the report (with its eigensolver summary) must parse it.
+        // The traced run recorded the eigensolver's activity, and the
+        // report parses it.
         let raw = std::fs::read_to_string(&trace).unwrap();
-        assert!(raw.contains("blanczos.solves"), "trace has no blanczos counters");
+        assert!(raw.contains("lanczos.iters"), "trace has no eigensolver counters");
         dispatch(&argv(&["trace-report", "--trace", trace.to_str().unwrap()])).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

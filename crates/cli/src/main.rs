@@ -5,13 +5,16 @@
 //! umsc info      --data DIR
 //! umsc cluster   --data DIR --clusters C [--method NAME] [--lambda X]
 //!                [--metric euclidean|cosine] [--anchors M] [--seed N]
-//!                [--out labels.csv] [--save-model FILE]
+//!                [--representation auto|dense|sparse] [--out labels.csv]
+//!                [--save-model FILE] [--trace FILE] [--verbose]
+//! umsc trace-report --trace FILE
 //! umsc assign    --model FILE --data DIR [--out labels.csv]
 //! umsc evaluate  --pred FILE --truth FILE
 //! umsc methods
 //! ```
 //!
 //! `DIR` uses the CSV layout of `umsc_data::io` (`view_K.csv` + `labels.csv`).
+//! An option a subcommand does not read is an error.
 
 mod args;
 mod commands;

@@ -14,7 +14,7 @@
 //!
 //! Total per-iteration cost O(n·m·c): linear in the number of points.
 
-use crate::config::{Discretization, EigSolver, UmscConfig, Weighting};
+use crate::config::{Discretization, UmscConfig, Weighting};
 use crate::error::UmscError;
 use crate::fused::anchor_fused_operator;
 use crate::solver::{validate, Umsc, UmscResult};
@@ -46,8 +46,6 @@ pub struct AnchorUmscConfig {
     pub tol: f64,
     /// Seed for anchor selection and Lanczos.
     pub seed: u64,
-    /// Eigensolver policy for the warm-start embedding sweeps.
-    pub eig: EigSolver,
 }
 
 impl AnchorUmscConfig {
@@ -62,7 +60,6 @@ impl AnchorUmscConfig {
             max_iter: 50,
             tol: 1e-6,
             seed: 0,
-            eig: EigSolver::Auto,
         }
     }
 
@@ -81,12 +78,6 @@ impl AnchorUmscConfig {
     /// Sets the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the eigensolver policy for the embedding sweeps.
-    pub fn with_eig(mut self, eig: EigSolver) -> Self {
-        self.eig = eig;
         self
     }
 }
@@ -177,7 +168,6 @@ impl AnchorUmsc {
             tol: cfg.tol,
             gpi_max_iter: ANCHOR_GPI_MAX_ITER,
             seed: cfg.seed,
-            eig: cfg.eig,
             ..UmscConfig::new(cfg.num_clusters)
         });
         validate(factors.iter().map(Matrix::shape), false, engine.config())?;
@@ -440,21 +430,6 @@ mod tests {
                 "{} -> {}",
                 w[0].objective,
                 w[1].objective
-            );
-        }
-    }
-
-    #[test]
-    fn eig_policies_agree() {
-        let data = gmm(50, 21);
-        let base = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(30)).fit(&data).unwrap();
-        for eig in [EigSolver::Lanczos, EigSolver::Blanczos] {
-            let res = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(30).with_eig(eig))
-                .fit(&data)
-                .unwrap();
-            assert!(
-                umsc_metrics::nmi(&base.labels, &res.labels) > 0.99,
-                "{eig:?} partition diverges"
             );
         }
     }

@@ -43,12 +43,6 @@ pub trait FusedOperator {
 
     /// The current fused operator.
     fn op(&self) -> &dyn LinOp;
-
-    /// The materialised matrix, when there is one: the cold eigensolve
-    /// then takes the dense QL path on small inputs.
-    fn dense(&self) -> Option<&Matrix> {
-        None
-    }
 }
 
 /// The dense path's fused Laplacian, materialised. It owns the only
@@ -107,10 +101,6 @@ impl FusedOperator for DenseFused<'_> {
 
     fn op(&self) -> &dyn LinOp {
         &self.a
-    }
-
-    fn dense(&self) -> Option<&Matrix> {
-        Some(&self.a)
     }
 }
 
@@ -246,7 +236,7 @@ mod tests {
         dense.op().apply_block_into(f.as_slice(), 3, yd.as_mut_slice());
         sparse.op().apply_block_into(f.as_slice(), 3, ys.as_mut_slice());
         assert!(yd.approx_eq(&ys, 1e-12));
-        let top = umsc_linalg::SymEigen::compute(dense.dense().unwrap()).unwrap().eigenvalues[n - 1];
+        let top = umsc_linalg::SymEigen::compute(&dense.a).unwrap().eigenvalues[n - 1];
         assert!(dense.eta() >= top && sparse.eta() >= top, "η below λ_max = {top}");
     }
 

@@ -52,7 +52,7 @@ pub(crate) mod telemetry;
 pub mod workspace;
 
 pub use anchor::{AnchorAssigner, AnchorModel, AnchorUmsc, AnchorUmscConfig};
-pub use config::{Discretization, EigSolver, GraphKind, UmscConfig, Weighting};
+pub use config::{Discretization, GraphKind, UmscConfig, Weighting};
 pub use error::UmscError;
 pub use fused::{
     anchor_fused_operator, sparse_fused_operator, AnchorFused, DenseFused, FusedOperator, SparseFused,

@@ -11,8 +11,8 @@
 //!
 //! The dense, sparse and anchor paths differ only in the operator that
 //! stores `L̄` (see [`crate::fused`]); validation, the `c = 1` shortcut,
-//! the warm start, the eigensolver dispatch, the sweep and the
-//! convergence loop are shared.
+//! the warm start, the eigensolve, the sweep and the convergence loop are
+//! shared.
 //!
 //! With [`Weighting::Auto`] the reported objective is the parameter-free
 //! functional `Σ_v √tr(Fᵀ L⁽ᵛ⁾ F) + λ‖FR − Y_eff‖²` (the auto-weights are
@@ -21,7 +21,7 @@
 //! objective is monotonically non-increasing — asserted in tests and
 //! plotted by bench figure F1.
 
-use crate::config::{Discretization, EigSolver, UmscConfig, Weighting};
+use crate::config::{Discretization, UmscConfig, Weighting};
 use crate::error::UmscError;
 use crate::fused::{sparse_fused_operator, DenseFused, FusedOperator};
 use crate::gpi::gpi_stiefel_op_ws;
@@ -29,16 +29,13 @@ use crate::indicator::{
     discretize_rows, discretize_rows_into, discretize_scaled_inplace, labels_to_indicator,
     labels_to_indicator_into, scaled_indicator_into,
 };
-use crate::pipeline::{build_view_laplacians, build_view_laplacians_sparse, spectral_embedding};
+use crate::pipeline::{build_view_laplacians, build_view_laplacians_sparse};
 use crate::workspace::SolverWorkspace;
 use crate::Result;
 use umsc_data::MultiViewDataset;
 use umsc_graph::CsrMatrix;
 use umsc_kmeans::{kmeans, KMeansConfig};
-use umsc_linalg::{
-    blanczos_smallest_ws, lanczos_smallest, procrustes, procrustes_into, BlanczosConfig,
-    BlanczosWorkspace, LanczosConfig, LinOp, Matrix,
-};
+use umsc_linalg::{lanczos_smallest, procrustes, procrustes_into, LanczosConfig, Matrix};
 
 /// Snapshot of one outer iteration (for convergence plots).
 #[derive(Debug, Clone)]
@@ -190,7 +187,7 @@ impl Umsc {
         let cfg = &self.config;
         if cfg.num_clusters == 1 {
             let n = op.op().dim();
-            let embedding = self.cold_solve(op)?;
+            let embedding = self.embedding_solve(op)?;
             let view_weights = match &cfg.weighting {
                 Weighting::Fixed(w) => normalized(w),
                 _ => normalized(&vec![1.0; op.num_views()]),
@@ -401,8 +398,7 @@ impl Umsc {
         let cfg = &self.config;
         let (n, c) = (op.op().dim(), cfg.num_clusters);
         ws.ensure(n, c);
-        let mut f = Matrix::zeros(n, c);
-        self.embedding_solve(op, &mut f, &mut ws.eig)?;
+        let mut f = self.embedding_solve(op)?;
         let rounds = rounds.max(1);
         let mut history: Vec<IterationStats> = Vec::with_capacity(rounds);
         let mut weights = Vec::new();
@@ -410,7 +406,7 @@ impl Umsc {
             op.view_traces(&f, &mut ws.lf, &mut ws.cc, &mut ws.traces);
             self.weights_from_traces_into(&ws.traces, &mut weights);
             op.set_weights(&weights);
-            self.embedding_solve(op, &mut f, &mut ws.eig)?;
+            f = self.embedding_solve(op)?;
             op.view_traces(&f, &mut ws.lf, &mut ws.cc, &mut ws.traces);
             let obj = self.embedding_objective(&ws.traces);
             let prev = history.last().map(|h| h.objective);
@@ -428,48 +424,11 @@ impl Umsc {
     }
 
     /// The one eigensolver entry point: the `c` smallest eigenvectors of
-    /// `op` into `f` under the configured [`EigSolver`] policy.
-    ///
-    /// `eig` is the persistent block-Lanczos state: when it is warm (a
-    /// subspace of the right shape was left by a previous solve or seeded
-    /// via [`BlanczosWorkspace::seed_from`]), the `Auto` and `Blanczos`
-    /// policies restart from it — the whole point of carrying the
-    /// workspace across sweeps — and the solve runs under an `eig.warm`
-    /// span for the trace.
-    fn embedding_solve<O: FusedOperator>(
-        &self,
-        op: &O,
-        f: &mut Matrix,
-        eig: &mut BlanczosWorkspace,
-    ) -> Result<()> {
-        let cfg = &self.config;
-        match cfg.eig {
-            EigSolver::Auto if !eig.is_warm() => {
-                f.copy_from(&self.cold_solve(op)?);
-                eig.seed_from(f);
-            }
-            EigSolver::Lanczos => f.copy_from(&self.lanczos(op.op())?),
-            EigSolver::Auto | EigSolver::Blanczos => {
-                let _g = eig.is_warm().then(|| umsc_obs::span!("eig.warm"));
-                let bcfg = BlanczosConfig { seed: cfg.seed, ..Default::default() };
-                blanczos_smallest_ws(op.op(), cfg.num_clusters, &bcfg, eig)?;
-                f.copy_from(eig.subspace());
-            }
-        }
-        Ok(())
-    }
-
-    /// A cold solve with no subspace to start from: the dense QL path
-    /// (below its size threshold) when the operator is materialised,
-    /// scalar Lanczos otherwise.
-    fn cold_solve<O: FusedOperator>(&self, op: &O) -> Result<Matrix> {
-        match op.dense() {
-            Some(a) => spectral_embedding(a, self.config.num_clusters, self.config.seed),
-            None => self.lanczos(op.op()),
-        }
-    }
-
-    fn lanczos(&self, op: &dyn LinOp) -> Result<Matrix> {
+    /// the current fused operator, by scalar Lanczos on every path. The
+    /// embedding only seeds the sweeps, so no subspace is carried from one
+    /// re-weighting to the next.
+    fn embedding_solve<O: FusedOperator>(&self, op: &O) -> Result<Matrix> {
+        let op = op.op();
         let c = self.config.num_clusters;
         let initial_subspace = (2 * c + 20).min(op.dim());
         let lcfg = LanczosConfig { seed: self.config.seed, initial_subspace, ..Default::default() };
@@ -633,6 +592,7 @@ mod tests {
     use crate::config::GraphKind;
     use umsc_data::shapes::{rings_multiview, two_moons_multiview};
     use umsc_data::synth::{MultiViewGmm, ViewSpec};
+    use umsc_linalg::LinOp;
     use umsc_metrics::clustering_accuracy;
 
     fn easy_gmm(seed: u64) -> MultiViewDataset {
@@ -828,33 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn eig_policies_agree_on_partition() {
-        // Every eigensolver policy spans the same warm-start subspace up
-        // to numerical noise, so the fitted partitions must coincide on
-        // well-separated data.
-        let data = easy_gmm(16);
-        let base = Umsc::new(UmscConfig::new(3)).fit(&data).unwrap();
-        for eig in [EigSolver::Lanczos, EigSolver::Blanczos] {
-            let res = Umsc::new(UmscConfig::new(3).with_eig(eig)).fit(&data).unwrap();
-            assert!(
-                umsc_metrics::nmi(&base.labels, &res.labels) > 0.99,
-                "{eig:?} partition diverges from Auto"
-            );
-        }
-    }
-
-    #[test]
-    fn two_stage_runs_under_blanczos_policy() {
-        let data = easy_gmm(17);
-        let cfg = UmscConfig::new(3)
-            .with_discretization(Discretization::KMeans { restarts: 3 })
-            .with_eig(EigSolver::Blanczos);
-        let res = Umsc::new(cfg).fit(&data).unwrap();
-        let acc = clustering_accuracy(&res.labels, &data.labels);
-        assert!(acc > 0.9, "two-stage blanczos ACC {acc}");
-    }
-
-    #[test]
     fn lambda_extremes_still_valid() {
         let data = easy_gmm(14);
         for lambda in [1e-4, 1e4] {
@@ -950,17 +883,6 @@ mod tests {
             for res in [model.fit(&data), model.fit_auto(&data), model.fit_laplacians_sparse(&ls)] {
                 assert!(matches!(res, Err(UmscError::InvalidInput(_))), "{w:?}: {res:?}");
             }
-        }
-    }
-
-    #[test]
-    fn sparse_eig_policies_agree() {
-        let data = two_view_gmm(25, 11);
-        let ls = sparse_laplacians(&data, 10);
-        let base = Umsc::new(UmscConfig::new(3)).fit_laplacians_sparse(&ls).unwrap();
-        for eig in [EigSolver::Lanczos, EigSolver::Blanczos] {
-            let res = Umsc::new(UmscConfig::new(3).with_eig(eig)).fit_laplacians_sparse(&ls).unwrap();
-            assert!(umsc_metrics::nmi(&base.labels, &res.labels) > 0.99, "{eig:?} partition diverges");
         }
     }
 

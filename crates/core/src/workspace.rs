@@ -14,7 +14,7 @@
 //! what it reads.
 
 use crate::gpi::GpiWorkspace;
-use umsc_linalg::{BlanczosWorkspace, Matrix, SvdScratch};
+use umsc_linalg::{Matrix, SvdScratch};
 
 /// Reallocates `m` only when its shape changes (contents unspecified).
 pub(crate) fn ensure_shape(m: &mut Matrix, rows: usize, cols: usize) {
@@ -44,9 +44,6 @@ pub struct SolverWorkspace {
     pub(crate) f_tilde: Matrix,
     /// GPI inner-loop buffers.
     pub(crate) gpi: GpiWorkspace,
-    /// Block-Lanczos state: the Ritz subspace carried across embedding
-    /// sweeps (warm starts) plus its grow-only scratch.
-    pub(crate) eig: BlanczosWorkspace,
     /// `c × c` SVD scratch for the R-step Procrustes.
     pub(crate) svd_r: SvdScratch,
     /// Per-view traces `tr(Fᵀ L⁽ᵛ⁾ F)`.
@@ -72,7 +69,6 @@ impl SolverWorkspace {
             fr: Matrix::zeros(0, 0),
             f_tilde: Matrix::zeros(0, 0),
             gpi: GpiWorkspace::new(),
-            eig: BlanczosWorkspace::new(),
             svd_r: SvdScratch::new(),
             traces: Vec::new(),
             sizes: Vec::new(),

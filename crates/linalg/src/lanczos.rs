@@ -207,11 +207,10 @@ fn random_unit(n: usize, rng: &mut SplitMix64) -> Vec<f64> {
 }
 
 /// Tiny deterministic RNG (SplitMix64) so this crate stays dependency-free.
-/// Shared with the block solver in [`crate::blanczos`].
-pub(crate) struct SplitMix64(u64);
+struct SplitMix64(u64);
 
 impl SplitMix64 {
-    pub(crate) fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         SplitMix64(seed.wrapping_add(0x9E3779B97F4A7C15))
     }
     fn next_u64(&mut self) -> u64 {
@@ -221,7 +220,7 @@ impl SplitMix64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
         z ^ (z >> 31)
     }
-    pub(crate) fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }

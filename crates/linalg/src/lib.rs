@@ -27,7 +27,6 @@
 //! errors), while algorithmic failures (non-convergence, non-PSD input)
 //! return [`LinalgError`].
 
-pub mod blanczos;
 pub mod cholesky;
 pub mod eigen;
 pub mod error;
@@ -43,7 +42,6 @@ pub mod svd;
 pub mod testkit;
 pub mod tridiag;
 
-pub use blanczos::{blanczos_smallest, blanczos_smallest_ws, BlanczosConfig, BlanczosWorkspace};
 pub use cholesky::{cholesky, cholesky_solve, inverse_sqrt_psd};
 pub use eigen::SymEigen;
 pub use generalized::{generalized_eigen, GeneralizedEigen};
@@ -55,7 +53,7 @@ pub use lanczos::{lanczos_smallest, LanczosConfig};
 pub use umsc_op::LinOp;
 pub use umsc_op::LinOp as LinearOperator;
 pub use lu::{lu_solve, Lu};
-pub use matrix::{parse_tile_spec, Matrix};
+pub use matrix::Matrix;
 pub use procrustes::{polar_orthogonalize, polar_orthogonalize_into, procrustes, procrustes_into};
 pub use qr::{qr, QrDecomposition};
 pub use svd::{Svd, SvdScratch};

@@ -251,11 +251,11 @@ impl Matrix {
     /// it saves (thread spawn is ~10µs; a flop is well under a ns here).
     const PAR_FLOP_THRESHOLD: usize = 1 << 18;
 
-    /// Default row-tile height for the cache-blocked GEMM. One tile is the
+    /// Row-tile height of the cache-blocked GEMM. One tile is the
     /// parallel grain: a worker owns `GEMM_TILE_I` consecutive output rows.
     const GEMM_TILE_I: usize = 32;
 
-    /// Default column-tile width for the cache-blocked GEMM. One packed
+    /// Column-tile width of the cache-blocked GEMM. One packed
     /// `k × GEMM_TILE_J` panel of `B` is ~`64·k` doubles, streamed through
     /// L1/L2 once per row tile instead of once per output row.
     const GEMM_TILE_J: usize = 64;
@@ -263,61 +263,6 @@ impl Matrix {
     /// Output width below which packing a `B` panel costs more than the
     /// cache locality it buys; narrower products use the plain row kernel.
     const GEMM_MIN_BLOCK_COLS: usize = 32;
-
-    /// Candidate tile geometries swept by [`Matrix::autotune_tiles`]:
-    /// the default plus neighbours trading row-tile grain (parallel
-    /// granularity) against packed-panel width (L1/L2 footprint).
-    pub const GEMM_TILE_CANDIDATES: [(usize, usize); 4] = [(16, 64), (32, 64), (32, 128), (64, 64)];
-
-    /// Tile geometry used by the implicit blocked-GEMM entry points:
-    /// the `UMSC_GEMM_TILES` environment variable (a [`parse_tile_spec`]
-    /// string like `32x64`, or `auto` to run [`Matrix::autotune_tiles`]
-    /// once; read once per process) or the built-in defaults. Tile choice
-    /// never changes results — only which cache level each packed panel
-    /// streams through.
-    pub fn gemm_tiles() -> (usize, usize) {
-        static GEMM_TILES: std::sync::OnceLock<(usize, usize)> = std::sync::OnceLock::new();
-        *GEMM_TILES.get_or_init(|| match std::env::var("UMSC_GEMM_TILES").ok() {
-            Some(v) if v.trim().eq_ignore_ascii_case("auto") => Self::autotune_tiles(),
-            Some(v) => parse_tile_spec(&v).unwrap_or((Self::GEMM_TILE_I, Self::GEMM_TILE_J)),
-            None => (Self::GEMM_TILE_I, Self::GEMM_TILE_J),
-        })
-    }
-
-    /// Times one warm 256×256 blocked product per candidate geometry in
-    /// [`Matrix::GEMM_TILE_CANDIDATES`] at the process's thread count and
-    /// returns the fastest. `UMSC_GEMM_TILES=auto` runs this once per
-    /// process (cached by [`Matrix::gemm_tiles`]); the sweep costs four
-    /// warm + four timed ~33 Mflop GEMMs at startup. Because every tile
-    /// geometry is bitwise-identical in output (asserted by tests), the
-    /// choice is pure performance policy.
-    pub fn autotune_tiles() -> (usize, usize) {
-        const N: usize = 256;
-        let mut a = Matrix::zeros(N, N);
-        let mut b = Matrix::zeros(N, N);
-        for i in 0..N {
-            for j in 0..N {
-                a[(i, j)] = ((i * 31 + j * 17 + 1) as f64).sin();
-                b[(i, j)] = ((i * 13 + j * 29 + 2) as f64).cos();
-            }
-        }
-        let threads = umsc_rt::par::max_threads();
-        let mut best = Self::GEMM_TILE_CANDIDATES[0];
-        let mut best_ns = u128::MAX;
-        for &(tile_i, tile_j) in Self::GEMM_TILE_CANDIDATES.iter() {
-            let _warm = a.matmul_tiled_with(threads, tile_i, tile_j, &b);
-            let start = std::time::Instant::now();
-            let timed = a.matmul_tiled_with(threads, tile_i, tile_j, &b);
-            let ns = start.elapsed().as_nanos();
-            // Fold a value back in so the timed product cannot be DCE'd.
-            std::hint::black_box(timed.as_slice()[0]);
-            if ns < best_ns {
-                best_ns = ns;
-                best = (tile_i, tile_j);
-            }
-        }
-        best
-    }
 
     /// Matrix product `self · other`.
     ///
@@ -360,7 +305,7 @@ impl Matrix {
     }
 
     /// Cache-blocked GEMM with explicit thread count and tile sizes — the
-    /// testing/tuning hook behind [`Matrix::matmul`]. Always takes the
+    /// testing and bench hook behind [`Matrix::matmul`]. Always takes the
     /// blocked/packed path, whatever the shape.
     ///
     /// # Panics
@@ -410,8 +355,7 @@ impl Matrix {
         );
         if threads > 1 && other.cols >= Self::GEMM_MIN_BLOCK_COLS {
             umsc_obs::counter!("gemm.blocked", 1);
-            let (tile_i, tile_j) = Self::gemm_tiles();
-            self.matmul_blocked(threads, tile_i, tile_j, other, out);
+            self.matmul_blocked(threads, Self::GEMM_TILE_I, Self::GEMM_TILE_J, other, out);
         } else {
             umsc_obs::counter!("gemm.rowwise", 1);
             self.matmul_rowwise(threads, other, out);
@@ -971,21 +915,6 @@ impl Neg for &Matrix {
     }
 }
 
-/// Parses a blocked-GEMM tile spec of the form `MRxNC` (row-tile ×
-/// column-tile, e.g. `32x64`; the separator is `x` or `X`, surrounding
-/// whitespace is ignored). Returns `None` unless both sides are positive
-/// integers. This is the format of the `UMSC_GEMM_TILES` environment
-/// variable — see [`Matrix::gemm_tiles`].
-pub fn parse_tile_spec(spec: &str) -> Option<(usize, usize)> {
-    let (i, j) = spec.trim().split_once(['x', 'X'])?;
-    let tile_i = i.trim().parse::<usize>().ok()?;
-    let tile_j = j.trim().parse::<usize>().ok()?;
-    if tile_i == 0 || tile_j == 0 {
-        return None;
-    }
-    Some((tile_i, tile_j))
-}
-
 impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
@@ -1277,57 +1206,6 @@ mod tests {
                 );
             }
         }
-        // Whatever geometry UMSC_GEMM_TILES resolved to for this process,
-        // the implicit path agrees with the naive kernel bitwise.
-        let (ti, tj) = Matrix::gemm_tiles();
-        assert_eq!(
-            a.matmul_tiled_with(3, ti, tj, &b).as_slice(),
-            reference.as_slice(),
-            "env-selected tile {ti}x{tj} diverges"
-        );
-    }
-
-    #[test]
-    fn tile_spec_parsing() {
-        assert_eq!(parse_tile_spec("32x64"), Some((32, 64)));
-        assert_eq!(parse_tile_spec(" 8 X 16 "), Some((8, 16)));
-        assert_eq!(parse_tile_spec("1x1"), Some((1, 1)));
-        for bad in ["", "x", "32", "32x", "x64", "0x64", "32x0", "-4x8", "axb", "32x64x128"] {
-            assert_eq!(parse_tile_spec(bad), None, "accepted {bad:?}");
-        }
-        // Tile geometry is positive whichever way it was chosen.
-        let (ti, tj) = Matrix::gemm_tiles();
-        assert!(ti >= 1 && tj >= 1);
-    }
-
-    #[test]
-    fn autotune_picks_a_candidate_and_all_candidates_agree_bitwise() {
-        let choice = Matrix::autotune_tiles();
-        assert!(
-            Matrix::GEMM_TILE_CANDIDATES.contains(&choice),
-            "autotune returned non-candidate geometry {choice:?}"
-        );
-        // Whatever the sweep picks is pure policy: every candidate (and
-        // therefore `UMSC_GEMM_TILES=auto`) produces bitwise-identical
-        // products.
-        let a = random_with_zeros(67, 53, 901);
-        let b = random_with_zeros(53, 71, 902);
-        let reference = a.matmul_naive_with(1, &b);
-        for &(ti, tj) in Matrix::GEMM_TILE_CANDIDATES.iter() {
-            for t in [1, 3] {
-                assert_eq!(
-                    a.matmul_tiled_with(t, ti, tj, &b).as_slice(),
-                    reference.as_slice(),
-                    "candidate tile {ti}x{tj} at {t} threads diverges"
-                );
-            }
-        }
-        let (ti, tj) = choice;
-        assert_eq!(
-            a.matmul_tiled_with(umsc_rt::par::max_threads(), ti, tj, &b).as_slice(),
-            reference.as_slice(),
-            "autotuned tile {ti}x{tj} diverges"
-        );
     }
 
     #[test]

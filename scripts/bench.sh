@@ -2,9 +2,9 @@
 # Perf-trajectory harness: runs the kernel microbenches and writes the
 # machine-readable snapshot BENCH_5.json (median ns per kernel, core
 # count, thread count, plus observability counter records such as the
-# blocked-vs-rowwise GEMM dispatch tallies and the cold-vs-warm block
-# Lanczos iteration counts) so future PRs can track regressions against
-# a committed baseline.
+# blocked-vs-rowwise GEMM dispatch tallies and the Lanczos iteration
+# count) so future PRs can track regressions against a committed
+# baseline.
 #
 # Usage:
 #   scripts/bench.sh            # full sizes, writes BENCH_5.json
