@@ -19,7 +19,6 @@ const CLUSTER_OPTIONS: &[&str] = &[
     "lambda",
     "metric",
     "anchors",
-    "representation",
     "seed",
     "out",
     "save-model",
@@ -130,18 +129,7 @@ fn cluster(args: &Args) -> Result<(), String> {
     } else if method_name == "umsc" {
         let lambda: f64 = args.get_parsed("lambda", 1.0)?;
         let cfg = UmscConfig::new(c).with_lambda(lambda).with_metric(metric).with_seed(seed);
-        let model = Umsc::new(cfg);
-        // `auto` keys the operator representation off the graph kind: the
-        // default k-NN graph runs the matrix-free CSR path, dense/CAN
-        // graphs the dense one.
-        let res = match args.get("representation").unwrap_or("auto") {
-            "auto" => model.fit_auto(&data),
-            "dense" => model.fit(&data),
-            "sparse" => umsc_core::build_view_laplacians_sparse(&data, &model.config().graph_config())
-                .and_then(|ls| model.fit_laplacians_sparse(&ls)),
-            other => return Err(format!("unknown --representation {other:?} (auto|dense|sparse)")),
-        }
-        .map_err(|e| e.to_string())?;
+        let res = Umsc::new(cfg).fit(&data).map_err(|e| e.to_string())?;
         (res.labels, Some(res.view_weights), Some(res.history))
     } else {
         let method = standard_suite(c)
@@ -469,42 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn representation_flag_accepted_and_validated() {
-        let dir = tmp("repr");
-        let _ = std::fs::remove_dir_all(&dir);
-        let data = umsc_data::synth::MultiViewGmm::new(
-            "r",
-            2,
-            12,
-            vec![umsc_data::ViewSpec::clean(3)],
-        )
-        .generate(2);
-        umsc_data::io::save_csv(&data, &dir).unwrap();
-        for repr in ["auto", "dense", "sparse"] {
-            dispatch(&argv(&[
-                "cluster",
-                "--data",
-                dir.to_str().unwrap(),
-                "--clusters",
-                "2",
-                "--representation",
-                repr,
-            ]))
-            .unwrap();
-        }
-        let err = dispatch(&argv(&[
-            "cluster",
-            "--data",
-            dir.to_str().unwrap(),
-            "--representation",
-            "quantum",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--representation"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn options_a_subcommand_does_not_read_rejected() {
         let dir = tmp("eig");
         let _ = std::fs::remove_dir_all(&dir);
@@ -517,10 +469,13 @@ mod tests {
         .generate(4);
         umsc_data::io::save_csv(&data, &dir).unwrap();
         let d = dir.to_str().unwrap();
-        // The eigensolver is no longer a choice: the retired flag fails
-        // loudly instead of being ignored.
+        // The eigensolver and the operator representation are no longer
+        // choices: the retired flags fail loudly instead of being ignored.
         let err = dispatch(&argv(&["cluster", "--data", d, "--clusters", "2", "--eig", "lanczos"])).unwrap_err();
         assert!(err.contains("--eig"), "got {err:?}");
+        let err = dispatch(&argv(&["cluster", "--data", d, "--clusters", "2", "--representation", "sparse"]))
+            .unwrap_err();
+        assert!(err.contains("--representation"), "got {err:?}");
         // A valid option of one subcommand is unknown to another.
         let err = dispatch(&argv(&["info", "--data", d, "--clusters", "2"])).unwrap_err();
         assert!(err.contains("--clusters"), "got {err:?}");

@@ -5,8 +5,8 @@
 //! umsc info      --data DIR
 //! umsc cluster   --data DIR --clusters C [--method NAME] [--lambda X]
 //!                [--metric euclidean|cosine] [--anchors M] [--seed N]
-//!                [--representation auto|dense|sparse] [--out labels.csv]
-//!                [--save-model FILE] [--trace FILE] [--verbose]
+//!                [--out labels.csv] [--save-model FILE] [--trace FILE]
+//!                [--verbose]
 //! umsc trace-report --trace FILE
 //! umsc assign    --model FILE --data DIR [--out labels.csv]
 //! umsc evaluate  --pred FILE --truth FILE

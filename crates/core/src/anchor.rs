@@ -10,7 +10,7 @@
 //!
 //! * `tr(Fᵀ L_v F) = c − ‖B_vᵀF‖²_F` — O(n·m·c);
 //! * eigensolves and GPI applies — O(n·m) per column;
-//! * R/Y steps — identical to the dense path (they only touch `n × c`).
+//! * R/Y steps — identical to the graph path (they only touch `n × c`).
 //!
 //! Total per-iteration cost O(n·m·c): linear in the number of points.
 

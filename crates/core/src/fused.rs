@@ -3,14 +3,12 @@
 //! Every path of the solver minimizes the same objective over a fused
 //! Laplacian `Σ_v w_v L_v`; the paths differ only in how that operator is
 //! stored. [`FusedOperator`] is the small interface the engine needs from
-//! it, and three representations implement it:
+//! it, and two representations implement it:
 //!
-//! * [`DenseFused`] — the materialised `n × n` matrix, rebuilt in place by
-//!   every re-weighting. One product per GPI iteration instead of one per
-//!   view, and the Gershgorin bound as the GPI shift.
 //! * [`SparseFused`] — `Σ_v w_v L_v` over borrowed CSR views, never
-//!   materialised: O(nnz) per apply. Normalized Laplacians satisfy
-//!   `L ⪯ 2I`, so `η = 2Σ_v w_v` bounds its spectrum.
+//!   materialised: O(nnz) per apply. Every [`crate::Umsc`] fit runs on it,
+//!   dense Laplacians included (converted to CSR first). Normalized
+//!   Laplacians satisfy `L ⪯ 2I`, so `η = 2Σ_v w_v` bounds its spectrum.
 //! * [`AnchorFused`] — `sI − Σ_v w_v B_v B_vᵀ` with `s = Σ_v w_v`, the
 //!   fused Laplacian of anchor graphs (`L_v = I − B_v B_vᵀ`) over thin
 //!   factors: O(n·m) per apply. Its spectrum lies in `[0, s]`, and
@@ -43,65 +41,6 @@ pub trait FusedOperator {
 
     /// The current fused operator.
     fn op(&self) -> &dyn LinOp;
-}
-
-/// The dense path's fused Laplacian, materialised. It owns the only
-/// `n × n` buffer of a dense fit.
-#[derive(Debug)]
-pub struct DenseFused<'a> {
-    views: &'a [Matrix],
-    a: Matrix,
-}
-
-impl<'a> DenseFused<'a> {
-    /// The mean `(1/V)·Σ_v L_v` of equal-shaped square Laplacians.
-    ///
-    /// # Panics
-    /// Panics if `views` is empty or the shapes differ.
-    pub fn new(views: &'a [Matrix]) -> Self {
-        let n = views[0].rows();
-        let mut a = Matrix::zeros(n, n);
-        for l in views {
-            a.axpy(1.0, l);
-        }
-        a.symmetrize_mut();
-        a.scale_mut(1.0 / views.len() as f64);
-        DenseFused { views, a }
-    }
-}
-
-impl FusedOperator for DenseFused<'_> {
-    const PATH: &'static str = "dense";
-
-    fn num_views(&self) -> usize {
-        self.views.len()
-    }
-
-    fn set_weights(&mut self, weights: &[f64]) {
-        self.a.as_mut_slice().fill(0.0);
-        for (l, &w) in self.views.iter().zip(weights.iter()) {
-            self.a.axpy(w, l);
-        }
-        self.a.symmetrize_mut();
-    }
-
-    fn view_traces(&self, f: &Matrix, lf: &mut Matrix, cc: &mut Matrix, traces: &mut Vec<f64>) {
-        traces.clear();
-        for l in self.views {
-            l.matmul_into(f, lf);
-            f.matmul_transpose_a_into(lf, cc);
-            traces.push(cc.trace());
-        }
-    }
-
-    fn eta(&self) -> f64 {
-        // Gershgorin, with a margin so ηI − A stays PSD under rounding.
-        self.a.gershgorin_upper_bound().max(0.0) + 1e-9
-    }
-
-    fn op(&self) -> &dyn LinOp {
-        &self.a
-    }
 }
 
 /// The sparse path's fused Laplacian over borrowed CSR views.
@@ -211,33 +150,34 @@ mod tests {
             .collect()
     }
 
-    /// The dense and CSR representations of one fused Laplacian agree on
-    /// traces and applies, and both shifts bound its spectrum.
+    /// The CSR operator agrees with a dense reference sum `Σ_v w_v L_v` on
+    /// traces and applies, and its shift bounds the spectrum.
     #[test]
     fn representations_agree() {
         let csr = csr_views(7);
-        let dense_views: Vec<Matrix> = csr.iter().map(CsrMatrix::to_dense).collect();
-        let n = dense_views[0].rows();
+        let n = csr[0].rows();
         let f = umsc_linalg::qr(&Matrix::from_fn(n, 3, |i, j| ((i * 7 + j * 3 + 1) as f64).sin())).q;
         let weights = [0.3, 0.9];
+        let mut reference = Matrix::zeros(n, n);
+        for (l, &w) in csr.iter().zip(weights.iter()) {
+            reference.axpy(w, &l.to_dense());
+        }
 
-        let mut dense = DenseFused::new(&dense_views);
         let mut sparse = sparse_fused_operator(&csr);
-        dense.set_weights(&weights);
         sparse.set_weights(&weights);
         let (mut lf, mut cc) = (Matrix::zeros(n, 3), Matrix::zeros(3, 3));
-        let (mut td, mut ts) = (Vec::new(), Vec::new());
-        dense.view_traces(&f, &mut lf, &mut cc, &mut td);
-        sparse.view_traces(&f, &mut lf, &mut cc, &mut ts);
-        assert_eq!(td, ts, "CSR traces diverge from dense traces");
+        let mut traces = Vec::new();
+        sparse.view_traces(&f, &mut lf, &mut cc, &mut traces);
+        for (t, l) in traces.iter().zip(csr.iter()) {
+            let expect = f.matmul_transpose_a(&l.to_dense().matmul(&f)).trace();
+            assert!((t - expect).abs() < 1e-12, "CSR trace {t} vs dense {expect}");
+        }
 
-        let mut yd = Matrix::zeros(n, 3);
         let mut ys = Matrix::zeros(n, 3);
-        dense.op().apply_block_into(f.as_slice(), 3, yd.as_mut_slice());
         sparse.op().apply_block_into(f.as_slice(), 3, ys.as_mut_slice());
-        assert!(yd.approx_eq(&ys, 1e-12));
-        let top = umsc_linalg::SymEigen::compute(&dense.a).unwrap().eigenvalues[n - 1];
-        assert!(dense.eta() >= top && sparse.eta() >= top, "η below λ_max = {top}");
+        assert!(ys.approx_eq(&reference.matmul(&f), 1e-12));
+        let top = umsc_linalg::SymEigen::compute(&reference).unwrap().eigenvalues[n - 1];
+        assert!(sparse.eta() >= top, "η {} below λ_max = {top}", sparse.eta());
     }
 
     #[test]

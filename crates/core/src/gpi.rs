@@ -32,8 +32,7 @@ pub fn gpi_objective(a: &Matrix, b: &Matrix, f: &Matrix) -> f64 {
 
 /// [`gpi_objective`] through caller-provided scratch (`af` is `n × k`,
 /// `cc` is `k × k`): allocation-free, numerically identical. `a` is any
-/// matrix-free operator; a dense [`Matrix`] takes the same row-kernel
-/// path as `Matrix::matmul_into`, so dense results are unchanged.
+/// matrix-free operator.
 fn gpi_objective_ws(a: &dyn LinOp, b: &Matrix, f: &Matrix, af: &mut Matrix, cc: &mut Matrix) -> f64 {
     a.apply_block_into(f.as_slice(), f.cols(), af.as_mut_slice());
     f.matmul_transpose_a_into(af, cc);
@@ -42,7 +41,7 @@ fn gpi_objective_ws(a: &dyn LinOp, b: &Matrix, f: &Matrix, af: &mut Matrix, cc: 
     quad - 2.0 * cc.trace()
 }
 
-/// Reusable buffers for [`gpi_stiefel_ws`]: the shifted iterate `M`, the
+/// Reusable buffers for [`gpi_stiefel_op_ws`]: the shifted iterate `M`, the
 /// product `A·F` (carried from each objective to the next iterate), a
 /// `k × k` trace scratch, and the SVD scratch backing the
 /// polar projection. Grow-only — reusing one workspace across outer solver
@@ -79,55 +78,14 @@ impl Default for GpiWorkspace {
     }
 }
 
-/// Runs GPI from the initial Stiefel point `f0`.
+/// Runs GPI from the Stiefel point `f` (`n × k`, `n ≥ k`, `fᵀf = I`),
+/// advancing it in place against any symmetric [`LinOp`] `a`, given a
+/// shift `eta ≥ λ_max(A)` (the caller knows its operator's spectral bound
+/// — e.g. `Σ_v w_v · 2` for normalized Laplacians; a dense [`Matrix`]
+/// can use its Gershgorin bound). Stops when the relative objective
+/// improvement drops below `tol` or after `max_iter` iterations; the
+/// objective is non-increasing at every step by construction.
 ///
-/// `a` must be symmetric `n × n`; `b` and `f0` are `n × k` with `n ≥ k` and
-/// `f0ᵀf0 = I`. Stops when the relative objective improvement drops below
-/// `tol` or after `max_iter` iterations, whichever is first; the objective
-/// is non-increasing at every step by construction.
-///
-/// # Panics
-/// Panics on shape mismatch.
-pub fn gpi_stiefel(a: &Matrix, b: &Matrix, f0: &Matrix, max_iter: usize, tol: f64) -> Result<Matrix> {
-    let mut f = f0.clone();
-    gpi_stiefel_ws(a, b, &mut f, max_iter, tol, &mut GpiWorkspace::new())?;
-    Ok(f)
-}
-
-/// [`gpi_stiefel`] advancing `f` in place through a reusable
-/// [`GpiWorkspace`]: allocation-free once the workspace is warm, and
-/// numerically identical to the allocating version.
-///
-/// # Panics
-/// Panics on shape mismatch.
-pub fn gpi_stiefel_ws(
-    a: &Matrix,
-    b: &Matrix,
-    f: &mut Matrix,
-    max_iter: usize,
-    tol: f64,
-    ws: &mut GpiWorkspace,
-) -> Result<()> {
-    let (n, k) = f.shape();
-    assert!(a.is_square() && a.rows() == n, "gpi_stiefel: A must be {n}x{n}");
-    assert_eq!(b.shape(), (n, k), "gpi_stiefel: B must be {n}x{k}");
-    assert!(n >= k, "gpi_stiefel: need n >= k");
-
-    // Safe shift: Gershgorin bound with a small positive margin so ηI − A
-    // stays PSD even under rounding. (Entry-wise bounds need the dense
-    // matrix; matrix-free callers supply their own η via
-    // [`gpi_stiefel_op_ws`].)
-    let eta = a.gershgorin_upper_bound().max(0.0) + 1e-9;
-    gpi_stiefel_op_ws(a, eta, b, f, max_iter, tol, ws)
-}
-
-/// Matrix-free GPI: advances `f` in place against any [`LinOp`] `a`,
-/// given a shift `eta ≥ λ_max(A)` (the caller knows its operator's
-/// spectral bound — e.g. `Σ_v w_v · 2` for normalized Laplacians).
-///
-/// For a dense [`Matrix`] operator this is numerically identical to
-/// [`gpi_stiefel_ws`]: the `Matrix` implementation of
-/// [`LinOp::apply_block_into`] is bitwise-identical to `matmul_into`.
 /// Allocation-free once `ws` (and any operator-internal scratch) is warm.
 ///
 /// # Panics
@@ -187,12 +145,21 @@ mod tests {
         qr(&Matrix::from_fn(n, k, |i, j| ((i * 3 + j * 5 + 1) as f64).sin())).q
     }
 
+    /// GPI on a dense matrix, shifted by its Gershgorin bound (with a
+    /// margin so `ηI − A` stays PSD under rounding).
+    fn gershgorin_gpi(a: &Matrix, b: &Matrix, f0: &Matrix, max_iter: usize, tol: f64) -> Result<Matrix> {
+        let eta = a.gershgorin_upper_bound() + 1e-9;
+        let mut f = f0.clone();
+        gpi_stiefel_op_ws(a, eta, b, &mut f, max_iter, tol, &mut GpiWorkspace::new())?;
+        Ok(f)
+    }
+
     #[test]
     fn with_zero_b_recovers_smallest_eigenspace() {
         // min tr(FᵀAF) over Stiefel = sum of k smallest eigenvalues.
         let a = sym(8, |i, j| ((i + 2 * j) as f64).cos() + if i == j { 3.0 } else { 0.0 });
         let b = Matrix::zeros(8, 3);
-        let f = gpi_stiefel(&a, &b, &stiefel_init(8, 3), 500, 1e-12).unwrap();
+        let f = gershgorin_gpi(&a, &b, &stiefel_init(8, 3), 500, 1e-12).unwrap();
         let eig = SymEigen::compute(&a).unwrap();
         let best: f64 = eig.eigenvalues[..3].iter().sum();
         let got = gpi_objective(&a, &b, &f);
@@ -207,7 +174,7 @@ mod tests {
         let mut prev = gpi_objective(&a, &b, &f0);
         let mut f = f0;
         for _ in 0..20 {
-            f = gpi_stiefel(&a, &b, &f, 1, 0.0).unwrap();
+            f = gershgorin_gpi(&a, &b, &f, 1, 0.0).unwrap();
             let obj = gpi_objective(&a, &b, &f);
             assert!(obj <= prev + 1e-9, "{obj} > {prev}");
             prev = obj;
@@ -218,7 +185,7 @@ mod tests {
     fn output_is_on_stiefel_manifold() {
         let a = sym(7, |i, j| (i as f64 - j as f64).abs());
         let b = Matrix::from_fn(7, 3, |i, j| (i * j) as f64 * 0.1);
-        let f = gpi_stiefel(&a, &b, &stiefel_init(7, 3), 50, 1e-10).unwrap();
+        let f = gershgorin_gpi(&a, &b, &stiefel_init(7, 3), 50, 1e-10).unwrap();
         let ftf = f.matmul_transpose_a(&f);
         assert!(ftf.approx_eq(&Matrix::identity(3), 1e-9), "{ftf:?}");
     }
@@ -229,7 +196,7 @@ mod tests {
         let a = sym(6, |i, j| if i == j { 1.0 } else { 0.0 });
         let target = stiefel_init(6, 2);
         let b = target.scale(1e6);
-        let f = gpi_stiefel(&a, &b, &stiefel_init(6, 2), 200, 1e-14).unwrap();
+        let f = gershgorin_gpi(&a, &b, &stiefel_init(6, 2), 200, 1e-14).unwrap();
         // tr(Fᵀ target) close to k (perfect alignment).
         let align = f.matmul_transpose_a(&target).trace();
         assert!(align > 2.0 - 1e-4, "alignment {align}");
@@ -237,16 +204,20 @@ mod tests {
 
     #[test]
     fn op_path_is_bitwise_identical_to_dense_path() {
-        let a = sym(9, |i, j| ((i * 5 + j) as f64).sin() + if i == j { 3.0 } else { 0.0 });
+        // The matrix-free CSR operator and the dense matrix accumulate
+        // every row in the same order, so GPI takes identical steps.
+        let a = sym(9, |i, j| if j - i <= 2 { ((i * 5 + j) as f64).sin() + if i == j { 3.0 } else { 0.0 } } else { 0.0 });
         let b = Matrix::from_fn(9, 3, |i, j| ((i + 2 * j) as f64).cos() * 0.1);
         let f0 = stiefel_init(9, 3);
+        let eta = a.gershgorin_upper_bound() + 1e-9;
 
         let mut f_dense = f0.clone();
-        gpi_stiefel_ws(&a, &b, &mut f_dense, 25, 1e-12, &mut GpiWorkspace::new()).unwrap();
+        gpi_stiefel_op_ws(&a, eta, &b, &mut f_dense, 25, 1e-12, &mut GpiWorkspace::new()).unwrap();
 
-        let eta = a.gershgorin_upper_bound().max(0.0) + 1e-9;
+        let csr = umsc_graph::CsrMatrix::from_dense(&a, 0.0);
+        assert!(csr.nnz() < 81, "the test operator must be sparse");
         let mut f_op = f0.clone();
-        gpi_stiefel_op_ws(&a, eta, &b, &mut f_op, 25, 1e-12, &mut GpiWorkspace::new()).unwrap();
+        gpi_stiefel_op_ws(&csr.as_op(), eta, &b, &mut f_op, 25, 1e-12, &mut GpiWorkspace::new()).unwrap();
 
         assert!(f_dense.approx_eq(&f_op, 0.0), "dense and operator GPI paths diverge");
     }
@@ -255,7 +226,7 @@ mod tests {
     fn k_equals_n() {
         let a = sym(4, |i, j| ((i + j) as f64).sin() + if i == j { 2.0 } else { 0.0 });
         let b = Matrix::zeros(4, 4);
-        let f = gpi_stiefel(&a, &b, &Matrix::identity(4), 100, 1e-12).unwrap();
+        let f = gershgorin_gpi(&a, &b, &Matrix::identity(4), 100, 1e-12).unwrap();
         // Full square orthogonal F: tr(FᵀAF) = tr(A) for any orthogonal F.
         assert!((gpi_objective(&a, &b, &f) - a.trace()).abs() < 1e-8);
     }

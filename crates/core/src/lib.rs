@@ -54,14 +54,12 @@ pub mod workspace;
 pub use anchor::{AnchorAssigner, AnchorModel, AnchorUmsc, AnchorUmscConfig};
 pub use config::{Discretization, GraphKind, UmscConfig, Weighting};
 pub use error::UmscError;
-pub use fused::{
-    anchor_fused_operator, sparse_fused_operator, AnchorFused, DenseFused, FusedOperator, SparseFused,
-};
-pub use gpi::{gpi_stiefel, gpi_stiefel_op_ws, gpi_stiefel_ws, GpiWorkspace};
+pub use fused::{anchor_fused_operator, sparse_fused_operator, AnchorFused, FusedOperator, SparseFused};
+pub use gpi::{gpi_stiefel_op_ws, GpiWorkspace};
 pub use indicator::{indicator_to_labels, labels_to_indicator, scaled_indicator};
 pub use pipeline::{
-    build_view_laplacians, build_view_laplacians_sparse, estimate_num_clusters,
-    spectral_embedding, spectral_embedding_with_values, GraphConfig, Metric,
+    build_view_laplacians, build_view_laplacians_sparse, spectral_embedding,
+    spectral_embedding_with_values, GraphConfig, Metric,
 };
 pub use solver::{init_rotation, IterationStats, SolverState, StepStats, Umsc, UmscResult};
 pub use workspace::SolverWorkspace;

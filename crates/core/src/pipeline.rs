@@ -75,13 +75,15 @@ pub fn view_affinity(x: &Matrix, cfg: &GraphConfig) -> Matrix {
     }
 }
 
-/// Builds the symmetric-normalized Laplacian of every view.
+/// Builds the dense symmetric-normalized Laplacian of every view — the
+/// baselines' input; [`crate::Umsc::fit`] uses the CSR builder
+/// [`build_view_laplacians_sparse`], whose k-NN and ε-ball Laplacians are
+/// bitwise equal to these.
 ///
-/// Validates the dataset first; all solver entry points funnel through
-/// here. Views are independent, so on multi-core machines they are built
-/// on scoped threads (one per view, capped by the available parallelism);
-/// the output order — and therefore every downstream number — is identical
-/// to the sequential path.
+/// Validates the dataset first. Views are independent, so on multi-core
+/// machines they are built on scoped threads (one per view, capped by the
+/// available parallelism); the output order — and therefore every
+/// downstream number — is identical to the sequential path.
 pub fn build_view_laplacians(data: &MultiViewDataset, cfg: &GraphConfig) -> Result<Vec<Matrix>> {
     data.validate().map_err(UmscError::InvalidInput)?;
     if data.n() < 2 {
@@ -91,8 +93,8 @@ pub fn build_view_laplacians(data: &MultiViewDataset, cfg: &GraphConfig) -> Resu
     Ok(build_laplacians_threaded(&data.views, cfg))
 }
 
-/// Builds **sparse** (CSR) symmetric-normalized Laplacians per view, for
-/// [`crate::Umsc::fit_laplacians_sparse`]. k-NN and ε-ball graphs stay
+/// Builds **sparse** (CSR) symmetric-normalized Laplacians per view — the
+/// input of every [`crate::Umsc::fit`]. k-NN and ε-ball graphs stay
 /// sparse end to end; dense/CAN graphs are built densely and converted
 /// (entries below `1e-12` dropped), which preserves semantics but not the
 /// memory advantage — prefer the sparse graph kinds at scale.
@@ -169,47 +171,12 @@ pub fn spectral_embedding_with_values(l: &Matrix, k: usize, seed: u64) -> Result
     }
 }
 
-/// Estimates the number of clusters by the **eigengap heuristic** on the
-/// fused (average) normalized Laplacian: the `k ∈ candidates` maximizing
-/// `λ_{k+1} − λ_k`.
-///
-/// Returns the chosen `k` and the full `(k, gap)` diagnostic list so
-/// callers can inspect how decisive the choice was.
-pub fn estimate_num_clusters(
-    data: &MultiViewDataset,
-    cfg: &GraphConfig,
-    candidates: std::ops::RangeInclusive<usize>,
-    seed: u64,
-) -> Result<(usize, Vec<(usize, f64)>)> {
-    let laplacians = build_view_laplacians(data, cfg)?;
-    let n = data.n();
-    let lo = (*candidates.start()).max(1);
-    let hi = (*candidates.end()).min(n.saturating_sub(1));
-    if lo > hi {
-        return Err(UmscError::InvalidInput(format!("empty candidate range {lo}..={hi} for n = {n}")));
-    }
-    let mut fused = Matrix::zeros(n, n);
-    for l in &laplacians {
-        fused.axpy(1.0 / laplacians.len() as f64, l);
-    }
-    let (vals, _) = spectral_embedding_with_values(&fused, (hi + 1).min(n), seed)?;
-    let gaps: Vec<(usize, f64)> = (lo..=hi)
-        .filter(|&k| k < vals.len())
-        .map(|k| (k, vals[k] - vals[k - 1]))
-        .collect();
-    let best = gaps
-        .iter()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|&(k, _)| k)
-        .unwrap_or(lo);
-    Ok((best, gaps))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use umsc_data::shapes::two_moons_multiview;
     use umsc_data::synth::{MultiViewGmm, ViewSpec};
+    use umsc_graph::CsrMatrix;
 
     #[test]
     fn laplacians_one_per_view() {
@@ -297,11 +264,19 @@ mod tests {
     #[test]
     fn sparse_laplacians_match_dense_for_sparse_kinds() {
         let data = two_moons_multiview(40, 0.05, 9);
-        let cfg = GraphConfig::default(); // kNN
-        let dense = build_view_laplacians(&data, &cfg).unwrap();
-        let sparse = build_view_laplacians_sparse(&data, &cfg).unwrap();
-        for (a, b) in dense.iter().zip(sparse.iter()) {
-            assert!(b.to_dense().approx_eq(a, 1e-12));
+        let bandwidth = umsc_graph::Bandwidth::SelfTuning { k: 7 };
+        let knn = GraphKind::Knn { k: 10, bandwidth: bandwidth.clone() };
+        for kind in [knn, GraphKind::Epsilon { epsilon: 0.5, bandwidth }] {
+            let cfg = GraphConfig { kind, metric: Metric::Euclidean };
+            let dense = build_view_laplacians(&data, &cfg).unwrap();
+            let sparse = build_view_laplacians_sparse(&data, &cfg).unwrap();
+            for (a, b) in dense.iter().zip(sparse.iter()) {
+                assert!(b.nnz() > 2 * b.rows(), "{:?}: too few edges to compare", cfg.kind);
+                // Bitwise: `fit_laplacians` on the dense form must run the
+                // same operator as the CSR build.
+                assert_eq!(b.to_dense().as_slice(), a.as_slice(), "{:?}", cfg.kind);
+                assert_eq!(&CsrMatrix::from_dense(a, 0.0), b, "{:?}", cfg.kind);
+            }
         }
         // Dense kind converts without error.
         let cfg = GraphConfig { kind: GraphKind::Dense(umsc_graph::Bandwidth::MeanDistance), metric: Metric::Euclidean };
@@ -329,23 +304,5 @@ mod tests {
                 assert!(a.approx_eq(b, 0.0), "threaded graph differs bit-for-bit");
             }
         }
-    }
-
-    #[test]
-    fn eigengap_estimates_planted_cluster_count() {
-        let mut gen = MultiViewGmm::new("est", 4, 20, vec![ViewSpec::clean(6), ViewSpec::clean(8)]);
-        gen.separation = 7.0;
-        let data = gen.generate(5);
-        let (k, gaps) = estimate_num_clusters(&data, &GraphConfig::default(), 2..=8, 0).unwrap();
-        assert_eq!(k, 4, "gaps: {gaps:?}");
-        // Diagnostics cover the requested range.
-        assert_eq!(gaps.first().unwrap().0, 2);
-        assert_eq!(gaps.last().unwrap().0, 8);
-    }
-
-    #[test]
-    fn eigengap_rejects_empty_range() {
-        let data = MultiViewGmm::new("e", 2, 3, vec![ViewSpec::clean(2)]).generate(0);
-        assert!(estimate_num_clusters(&data, &GraphConfig::default(), 9..=20, 0).is_err());
     }
 }

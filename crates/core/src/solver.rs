@@ -9,7 +9,7 @@
 //! 3. **R-step** — orthogonal Procrustes `R = UVᵀ` of `Fᵀ Y_eff`;
 //! 4. **Y-step** — exact row-wise argmax of `F·R` with empty-cluster repair.
 //!
-//! The dense, sparse and anchor paths differ only in the operator that
+//! The graph (CSR) and anchor paths differ only in the operator that
 //! stores `L̄` (see [`crate::fused`]); validation, the `c = 1` shortcut,
 //! the warm start, the eigensolve, the sweep and the convergence loop are
 //! shared.
@@ -23,13 +23,13 @@
 
 use crate::config::{Discretization, UmscConfig, Weighting};
 use crate::error::UmscError;
-use crate::fused::{sparse_fused_operator, DenseFused, FusedOperator};
+use crate::fused::{sparse_fused_operator, FusedOperator};
 use crate::gpi::gpi_stiefel_op_ws;
 use crate::indicator::{
     discretize_rows, discretize_rows_into, discretize_scaled_inplace, labels_to_indicator,
     labels_to_indicator_into, scaled_indicator_into,
 };
-use crate::pipeline::{build_view_laplacians, build_view_laplacians_sparse};
+use crate::pipeline::build_view_laplacians_sparse;
 use crate::workspace::SolverWorkspace;
 use crate::Result;
 use umsc_data::MultiViewDataset;
@@ -117,28 +117,18 @@ impl Umsc {
         &self.config
     }
 
-    /// Fits the model on a multi-view dataset (builds per-view graphs from
-    /// the configured metric/graph kind, then calls
-    /// [`Umsc::fit_laplacians`]).
+    /// Fits the model on a multi-view dataset: builds every view's
+    /// normalized Laplacian in CSR form from the configured metric and
+    /// graph kind, then calls [`Umsc::fit_laplacians_sparse`].
     pub fn fit(&self, data: &MultiViewDataset) -> Result<UmscResult> {
-        let laplacians = build_view_laplacians(data, &self.config.graph_config())?;
-        self.fit_laplacians(&laplacians)
+        let laplacians = build_view_laplacians_sparse(data, &self.config.graph_config())?;
+        self.fit_laplacians_sparse(&laplacians)
     }
 
-    /// Like [`Umsc::fit`], but picks the operator representation from the
-    /// configured graph kind: natively sparse graphs (see
-    /// [`crate::GraphKind::is_sparse`]) run the matrix-free CSR path
-    /// ([`Umsc::fit_laplacians_sparse`]) — O(nnz + n·c) workspace memory
-    /// instead of O(n²) — while dense/CAN graphs, and the `KMeans`
-    /// discretization ablation, take [`Umsc::fit`].
+    /// Alias of [`Umsc::fit`], from when the two picked different operator
+    /// representations; every graph now runs the CSR engine.
     pub fn fit_auto(&self, data: &MultiViewDataset) -> Result<UmscResult> {
-        let kmeans = matches!(self.config.discretization, Discretization::KMeans { .. });
-        if self.config.graph.is_sparse() && !kmeans {
-            let laplacians = build_view_laplacians_sparse(data, &self.config.graph_config())?;
-            self.fit_laplacians_sparse(&laplacians)
-        } else {
-            self.fit(data)
-        }
+        self.fit(data)
     }
 
     /// Fits the model on precomputed per-view **affinity** matrices
@@ -163,19 +153,20 @@ impl Umsc {
         self.fit_laplacians(&laplacians)
     }
 
-    /// Fits the model on precomputed per-view (normalized) Laplacians —
-    /// the entry point when graphs come from elsewhere. Runs the engine
-    /// on the materialised fused Laplacian ([`DenseFused`]).
+    /// Fits the model on precomputed per-view normalized Laplacians (any
+    /// symmetric `L` with `0 ⪯ L ⪯ 2I`) — the entry point when graphs come
+    /// from elsewhere. Each view is converted to CSR with its exact zeros
+    /// dropped, so a Laplacian and its CSR form give bitwise the same fit
+    /// through [`Umsc::fit_laplacians_sparse`].
     pub fn fit_laplacians(&self, laplacians: &[Matrix]) -> Result<UmscResult> {
-        validate(laplacians.iter().map(Matrix::shape), true, &self.config)?;
-        self.fit_operator(&mut DenseFused::new(laplacians))
+        let csr: Vec<CsrMatrix> = laplacians.iter().map(|l| CsrMatrix::from_dense(l, 0.0)).collect();
+        self.fit_laplacians_sparse(&csr)
     }
 
     /// Fits the model on precomputed **sparse** per-view normalized
     /// Laplacians without ever forming an `n × n` dense matrix: the
     /// engine runs on [`crate::SparseFused`], so workspace memory stays
-    /// O(nnz + n·c). Use it when graphs are k-NN/ε-ball sparse and `n` is
-    /// large.
+    /// O(nnz + n·c).
     pub fn fit_laplacians_sparse(&self, laplacians: &[CsrMatrix]) -> Result<UmscResult> {
         validate(laplacians.iter().map(|l| (l.rows(), l.cols())), true, &self.config)?;
         self.fit_operator(&mut sparse_fused_operator(laplacians))
@@ -824,9 +815,8 @@ mod tests {
         let dense_ls: Vec<Matrix> = sparse_ls.iter().map(|l| l.to_dense()).collect();
         let dense = model.fit_laplacians(&dense_ls).unwrap();
         let sparse = model.fit_laplacians_sparse(&sparse_ls).unwrap();
-        // Partitions agree (the cold eigensolvers differ, so demand
-        // partition identity, not bitwise equality).
-        assert!(umsc_metrics::nmi(&dense.labels, &sparse.labels) > 0.99, "partitions diverge");
+        // Both doors run the same CSR operator.
+        assert_eq!(dense.labels, sparse.labels, "partitions diverge");
         let acc = clustering_accuracy(&sparse.labels, &data.labels);
         assert!(acc > 0.95, "sparse path ACC {acc}");
     }
@@ -878,9 +868,10 @@ mod tests {
     fn bad_fixed_weights_rejected_on_every_path() {
         let data = two_view_gmm(10, 5);
         let ls = sparse_laplacians(&data, 6);
+        let dense: Vec<Matrix> = ls.iter().map(CsrMatrix::to_dense).collect();
         for w in [vec![1.0, -1.0], vec![0.0, 0.0], vec![f64::NAN, 1.0]] {
             let model = Umsc::new(UmscConfig::new(3).with_weighting(Weighting::Fixed(w.clone())));
-            for res in [model.fit(&data), model.fit_auto(&data), model.fit_laplacians_sparse(&ls)] {
+            for res in [model.fit(&data), model.fit_laplacians(&dense), model.fit_laplacians_sparse(&ls)] {
                 assert!(matches!(res, Err(UmscError::InvalidInput(_))), "{w:?}: {res:?}");
             }
         }

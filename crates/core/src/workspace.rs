@@ -79,8 +79,7 @@ impl SolverWorkspace {
     }
 
     /// Sizes the `n × c` buffers. Reallocates only when shapes change.
-    /// No buffer is `n × n`: the dense path's fused Laplacian belongs to
-    /// its operator ([`crate::DenseFused`]).
+    /// No buffer is `n × n`.
     pub(crate) fn ensure(&mut self, n: usize, c: usize) {
         ensure_shape(&mut self.lf, n, c);
         ensure_shape(&mut self.cc, c, c);

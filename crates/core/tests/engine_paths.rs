@@ -1,22 +1,24 @@
-//! One graph, three operators: the dense, sparse and anchor paths share
-//! one sweep engine, so fitting the same anchor graph through each must
-//! give the same partition and the same objective history.
+//! One graph, three doors: the CSR and anchor operators share one sweep
+//! engine, so fitting the same anchor graph through each must give the
+//! same partition and the same objective history.
 //!
 //! The graph is an anchor graph with factors `B_v`, fitted as
 //! * dense Laplacians `I − B_v B_vᵀ` ([`Umsc::fit_laplacians`]),
 //! * the same Laplacians in CSR form ([`Umsc::fit_laplacians_sparse`]),
 //! * the factors themselves ([`AnchorUmsc::fit_factors`]),
 //!
-//! with the dense/sparse GPI cap set to the anchor path's. The operators
-//! differ in their GPI shift η (Gershgorin, `2Σw + 1e-9`, `2Σw`) and in
-//! the rounding of their applies, so the histories agree to a stated
-//! relative tolerance, not bitwise.
+//! with the Laplacian fits' GPI cap set to the anchor path's. The first
+//! two doors run the same CSR operator, so they must agree bitwise. The
+//! anchor operator differs in its GPI shift η (`2Σw` against
+//! `2Σw + 1e-9`) and in the rounding of its applies, so it agrees to a
+//! stated relative tolerance.
 //!
-//! The paths also share the eigensolver's weak spot: single-vector Lanczos
-//! cannot resolve a repeated eigenvalue, so a graph with several exactly
-//! disconnected components may get an embedding that mixes them. That is
-//! allowed to cost accuracy, never validity: every path must still return
-//! a partition with finite objectives.
+//! The doors also share one eigensolver. Single-vector Lanczos sees one
+//! direction of a repeated eigenvalue per Krylov sequence, so it restarts
+//! from a fresh direction after every converged probe until the wanted
+//! values stop changing. On a graph with several exactly disconnected
+//! components every door must return a valid partition with finite
+//! objectives, and the CSR doors must recover the components exactly.
 
 use umsc_core::anchor::ANCHOR_GPI_MAX_ITER;
 use umsc_core::{build_view_laplacians_sparse, AnchorUmsc, AnchorUmscConfig, Umsc, UmscConfig, UmscResult};
@@ -27,6 +29,7 @@ use umsc_linalg::Matrix;
 /// Relative tolerance on every history entry's objective.
 const HISTORY_RTOL: f64 = 1e-6;
 
+/// Labels equal, and every sweep's objective within [`HISTORY_RTOL`].
 fn assert_same_fit(name: &str, got: &UmscResult, reference: &UmscResult) {
     assert_eq!(got.labels, reference.labels, "{name}: labels differ from the anchor path");
     assert_eq!(got.history.len(), reference.history.len(), "{name}: sweep counts differ");
@@ -67,8 +70,10 @@ fn dense_sparse_and_anchor_fits_of_one_graph_agree() {
     let via_sparse = Umsc::new(cfg).fit_laplacians_sparse(&sparse).unwrap();
 
     assert!(anchor.converged && anchor.history.len() >= 2);
-    assert_same_fit("dense", &via_dense, &anchor);
     assert_same_fit("sparse", &via_sparse, &anchor);
+    assert_eq!(via_dense.labels, via_sparse.labels, "dense-input labels differ from the CSR fit");
+    let bits = |r: &UmscResult| r.history.iter().map(|h| h.objective.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&via_dense), bits(&via_sparse), "dense-input history differs from the CSR fit");
 }
 
 fn assert_valid_partition(name: &str, res: &UmscResult, n: usize, c: usize) {
@@ -110,5 +115,8 @@ fn disconnected_single_view_graph_gives_a_valid_partition_on_every_path() {
         assert_valid_partition(name, res, n, c);
         let acc = umsc_metrics::clustering_accuracy(&res.labels, &data.labels);
         println!("{name}: ACC {acc:.3} on {c} disconnected components");
+        if *name != "anchor" {
+            assert_eq!(acc, 1.0, "{name}: the {c} components are not recovered");
+        }
     }
 }

@@ -43,7 +43,9 @@ pub fn normalized_laplacian(w: &Matrix) -> Matrix {
     let mut l = Matrix::zeros(n, n);
     for i in 0..n {
         for j in 0..n {
-            let v = -inv_sqrt[i] * w[(i, j)] * inv_sqrt[j];
+            // Same association as `CsrMatrix::scale_symmetric`, so the
+            // dense and CSR Laplacians of one affinity are bitwise equal.
+            let v = -(w[(i, j)] * (inv_sqrt[i] * inv_sqrt[j]));
             l[(i, j)] = if i == j { 1.0 + v } else { v };
         }
     }

@@ -16,7 +16,11 @@
 //! anywhere a `&dyn LinOp` is expected.
 //!
 //! Breakdown (an invariant subspace, e.g. a disconnected graph) is handled
-//! by restarting with a fresh vector orthogonal to the basis so far.
+//! by restarting with a fresh vector orthogonal to the basis so far. A
+//! converged probe restarts the same way before it may return: one Krylov
+//! sequence holds a single direction of a repeated eigenvalue, so the
+//! solve returns only once the wanted values survive a fresh direction
+//! (4 more steps per restart).
 
 use crate::eigen::tql2;
 use crate::matrix::Matrix;
@@ -85,6 +89,8 @@ pub fn lanczos_smallest(op: &dyn LinOp, k: usize, cfg: &LanczosConfig) -> Result
 
     let mut check_at = cfg.initial_subspace.max(k + 2).min(n.max(1));
     let mut work = vec![0.0; n];
+    // The wanted values of the last accepted probe (see below).
+    let mut accepted: Option<Vec<f64>> = None;
 
     let _span = umsc_obs::span!("lanczos.solve");
     loop {
@@ -106,42 +112,72 @@ pub fn lanczos_smallest(op: &dyn LinOp, k: usize, cfg: &LanczosConfig) -> Result
         let b_j = normalize(&mut work);
 
         let m = basis.len();
-        let done_expanding = m == n;
-        if !done_expanding {
-            if b_j <= 1e-12 {
-                // Breakdown: invariant subspace captured. Restart direction.
-                let mut fresh = random_unit(n, &mut rng);
-                for b in &basis {
-                    let c = dot(b, &fresh);
-                    axpy(-c, b, &mut fresh);
-                }
-                if normalize(&mut fresh) <= 1e-12 {
-                    // Basis already spans R^n numerically; solve exactly.
-                    let pairs = ritz_pairs(&basis[..alpha.len()], &alpha, &beta, k, None)?;
-                    return Ok(pairs.expect("tol=None always yields pairs"));
-                }
-                beta.push(0.0);
-                basis.push(fresh);
-            } else {
-                beta.push(b_j);
-                basis.push(work.clone());
-            }
+        if m == n {
+            return exact(&basis, &alpha, &beta, k);
+        }
+        if b_j <= 1e-12 {
+            // Breakdown: invariant subspace captured. Restart direction.
+            let Some(fresh) = fresh_direction(&basis, &mut rng) else {
+                // Basis already spans R^n numerically; solve exactly.
+                return exact(&basis, &alpha, &beta, k);
+            };
+            beta.push(0.0);
+            basis.push(fresh);
+        } else {
+            beta.push(b_j);
+            basis.push(work.clone());
         }
 
         let m = basis.len();
-        if done_expanding {
-            let pairs = ritz_pairs(&basis[..alpha.len()], &alpha, &beta, k, None)?;
-            return Ok(pairs.expect("tol=None always yields pairs"));
-        }
         if m >= check_at {
             // Convergence probe on the completed alpha.len()-step
             // factorization (the freshly pushed vector is not yet processed).
-            if let Some(result) = ritz_pairs(&basis[..alpha.len()], &alpha, &beta, k, Some(cfg.tol))? {
-                return Ok(result);
+            if let Some((values, vectors)) = ritz_pairs(&basis[..alpha.len()], &alpha, &beta, k, Some(cfg.tol))? {
+                if accepted.as_ref().is_some_and(|prev| agree(prev, &values, cfg.tol.sqrt())) {
+                    return Ok((values, vectors));
+                }
+                // One Krylov sequence sees a single direction of each
+                // eigenspace, so a converged probe can still miss copies of
+                // a repeated eigenvalue (a graph with several components).
+                // Replace the pending vector by a fresh direction (β = 0,
+                // as on breakdown) and accept only once the wanted values
+                // survive what it adds, probing again 4 steps later.
+                let steps = alpha.len();
+                let Some(fresh) = fresh_direction(&basis[..steps], &mut rng) else {
+                    return exact(&basis, &alpha, &beta, k);
+                };
+                basis[steps] = fresh;
+                beta[steps - 1] = 0.0;
+                accepted = Some(values);
+                check_at = (m + 4).min(n);
+            } else {
+                check_at = (check_at + check_at / 2 + 1).min(n);
             }
-            check_at = (check_at + check_at / 2 + 1).min(n);
         }
     }
+}
+
+/// The Ritz pairs of the whole `alpha.len()`-step factorization.
+fn exact(basis: &[Vec<f64>], alpha: &[f64], beta: &[f64], k: usize) -> Result<(Vec<f64>, Matrix)> {
+    let pairs = ritz_pairs(&basis[..alpha.len()], alpha, beta, k, None)?;
+    Ok(pairs.expect("tol=None always yields pairs"))
+}
+
+/// A random unit vector orthogonal to `basis`, or `None` when the basis
+/// already spans the space numerically.
+fn fresh_direction(basis: &[Vec<f64>], rng: &mut SplitMix64) -> Option<Vec<f64>> {
+    let mut fresh = random_unit(basis[0].len(), rng);
+    for b in basis {
+        let c = dot(b, &fresh);
+        axpy(-c, b, &mut fresh);
+    }
+    (normalize(&mut fresh) > 1e-12).then_some(fresh)
+}
+
+/// Whether two ascending value lists agree to `rtol` relative (with unit
+/// floor, so zero eigenvalues compare on the Laplacian's scale).
+fn agree(a: &[f64], b: &[f64], rtol: f64) -> bool {
+    a.iter().zip(b).all(|(&x, &y)| (x - y).abs() <= rtol * x.abs().max(y.abs()).max(1.0))
 }
 
 /// Solves the projected tridiagonal problem and maps Ritz vectors back.
@@ -296,6 +332,37 @@ mod tests {
         let (vals, _) = lanczos_smallest(&a, 2, &LanczosConfig::default()).unwrap();
         assert!(vals[0].abs() < 1e-7);
         assert!(vals[1].abs() < 1e-7, "second zero eigenvalue missed: {vals:?}");
+    }
+
+    /// Normalized Laplacian of `blobs` disjoint banded components of
+    /// `size` vertices each: a `blobs`-fold zero eigenvalue.
+    fn blob_laplacian(blobs: usize, size: usize) -> Matrix {
+        let n = blobs * size;
+        let mut w = Matrix::zeros(n, n);
+        for blob in 0..blobs {
+            for a in 0..size {
+                for b in a + 1..(a + 4).min(size) {
+                    let v = 1.0 / (1.0 + (b - a) as f64) + 0.01 * ((blob * 7 + a) % 5) as f64;
+                    w[(blob * size + a, blob * size + b)] = v;
+                    w[(blob * size + b, blob * size + a)] = v;
+                }
+            }
+        }
+        let s: Vec<f64> = w.rows_iter().map(|r| 1.0 / r.iter().sum::<f64>().sqrt()).collect();
+        Matrix::from_fn(n, n, |i, j| if i == j { 1.0 } else { -(w[(i, j)] * (s[i] * s[j])) })
+    }
+
+    #[test]
+    fn finds_every_copy_of_a_repeated_eigenvalue() {
+        // One Krylov sequence sees a single direction of the 40-fold null
+        // space; the solve must still return all 40 zero eigenvalues.
+        let (blobs, n) = (40, 480);
+        let l = blob_laplacian(blobs, n / blobs);
+        let cfg = LanczosConfig { initial_subspace: 2 * blobs + 20, ..Default::default() };
+        let (vals, vecs) = lanczos_smallest(&l, blobs, &cfg).unwrap();
+        let zeros = vals.iter().filter(|v| v.abs() < 1e-8).count();
+        assert_eq!(zeros, blobs, "found {zeros} of {blobs} zero eigenvalues: {vals:?}");
+        assert!(vecs.matmul_transpose_a(&vecs).approx_eq(&Matrix::identity(blobs), 1e-8));
     }
 
     #[test]

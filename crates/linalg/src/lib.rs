@@ -15,7 +15,6 @@
 //!   cross-check in tests and as a robust fallback for small matrices.
 //! * [`Svd`] — singular value decomposition via one-sided Jacobi (Hestenes).
 //! * [`qr()`](qr()) — Householder QR.
-//! * [`cholesky()`](cholesky()), [`lu`] — factorizations and linear solves.
 //! * [`procrustes()`](procrustes()) — orthogonal Procrustes and polar orthogonalization,
 //!   the workhorses of spectral rotation.
 //! * [`lanczos`] — partial symmetric eigensolver for large sparse operators
@@ -27,13 +26,10 @@
 //! errors), while algorithmic failures (non-convergence, non-PSD input)
 //! return [`LinalgError`].
 
-pub mod cholesky;
 pub mod eigen;
 pub mod error;
-pub mod generalized;
 pub mod jacobi;
 pub mod lanczos;
-pub mod lu;
 pub mod matrix;
 pub mod ops;
 pub mod procrustes;
@@ -42,9 +38,7 @@ pub mod svd;
 pub mod testkit;
 pub mod tridiag;
 
-pub use cholesky::{cholesky, cholesky_solve, inverse_sqrt_psd};
 pub use eigen::SymEigen;
-pub use generalized::{generalized_eigen, GeneralizedEigen};
 pub use error::LinalgError;
 pub use jacobi::jacobi_eigen;
 pub use lanczos::{lanczos_smallest, LanczosConfig};
@@ -52,7 +46,6 @@ pub use lanczos::{lanczos_smallest, LanczosConfig};
 // (and its historical name) so downstream code keeps one import path.
 pub use umsc_op::LinOp;
 pub use umsc_op::LinOp as LinearOperator;
-pub use lu::{lu_solve, Lu};
 pub use matrix::Matrix;
 pub use procrustes::{polar_orthogonalize, polar_orthogonalize_into, procrustes, procrustes_into};
 pub use qr::{qr, QrDecomposition};

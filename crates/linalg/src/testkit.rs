@@ -83,7 +83,8 @@ mod tests {
         assert!(s.is_symmetric(0.0));
         let p = spd_matrix(&mut rng, 4);
         assert!(p.is_symmetric(1e-12));
-        assert!(crate::cholesky(&p).is_ok(), "spd_matrix must be SPD");
+        let smallest = crate::SymEigen::compute(&p).unwrap().eigenvalues[0];
+        assert!(smallest > 0.0, "spd_matrix must be SPD, λ_min = {smallest}");
         assert_eq!(vector(&mut rng, 7, -1.0, 1.0).len(), 7);
         let (x, labels) = labeled_points(&mut rng, 10, 3, 4, 5.0);
         assert_eq!(x.shape(), (10, 3));

@@ -1,6 +1,6 @@
 //! Allocation-regression gate driven by `scripts/verify.sh`.
 //!
-//! Runs one dense, one sparse and one anchor fit with telemetry on and
+//! Runs one graph (CSR) fit and one anchor fit with telemetry on and
 //! prints the `workspace.realloc` counter — the number of times a solver workspace
 //! buffer had to be re-shaped (and therefore reallocated). Each fit sizes
 //! its buffers once; every warm sweep after that must reuse them, so the
@@ -29,9 +29,8 @@ fn main() {
 
     let model = Umsc::new(UmscConfig::new(3).with_max_iter(30));
     let anchor = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(30));
-    let fits: [(&str, &dyn Fn() -> umsc_core::Result<UmscResult>); 3] = [
-        ("dense", &|| model.fit(&data)),
-        ("sparse", &|| model.fit_auto(&data)),
+    let fits: [(&str, &dyn Fn() -> umsc_core::Result<UmscResult>); 2] = [
+        ("sparse", &|| model.fit(&data)),
         ("anchor", &|| anchor.fit(&data)),
     ];
     let mut total = 0;

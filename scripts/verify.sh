@@ -17,10 +17,6 @@ UMSC_BENCH_SMOKE=1 scripts/bench.sh "$smoke_json"
 grep -q '"schema":"umsc-bench-trajectory/v1"' "$smoke_json" \
     || { echo "verify: bench snapshot missing schema marker" >&2; exit 1; }
 
-# Sparse-vs-dense scaling demo must run end to end at smoke scale (it
-# re-asserts the O(nnz + n·c) memory story outside the test harness).
-UMSC_BENCH_SMOKE=1 cargo run -q --release --offline --example sparse_scaling
-
 # Allocation-regression gate: a full warm fit sizes each workspace buffer
 # once; the realloc counter is a structural constant. Exceeding the
 # committed baseline means per-sweep reallocation crept back into the hot
@@ -48,4 +44,4 @@ grep -q '"schema":"umsc-trace/v1"' "$trace_json" \
 cargo run -q --release --offline -p umsc-cli -- trace-report --trace "$trace_json" \
     || { echo "verify: trace-report failed to parse the trace" >&2; exit 1; }
 
-echo "verify: OK (offline build + tests + clippy + bench smoke + sparse-scaling smoke + alloc gate + trace smoke)"
+echo "verify: OK (offline build + tests + clippy + bench smoke + alloc gate + trace smoke)"
